@@ -21,10 +21,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..errors import ActuationError
+from ..errors import ActuationError, ConfigurationError
 from ..hardware.device import Device
 from ..hardware.server import GpuServer
-from ..perf import vectorized_enabled
 from .modulator import DeltaSigmaModulator, Modulator, NearestLevelModulator
 
 __all__ = ["ChannelActuator", "ServerActuator"]
@@ -74,52 +73,50 @@ class ServerActuator:
     server:
         The plant.
     modulator_factory:
-        Callable ``FrequencyDomain -> Modulator``; defaults to the paper's
-        delta-sigma modulator.
+        :class:`DeltaSigmaModulator` (the paper's scheme, the default) or
+        :class:`NearestLevelModulator` (the ablation baseline). Either is
+        rolled out for all channels in one pass per tick; any other factory
+        raises :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(self, server: GpuServer, modulator_factory=None):
         factory = modulator_factory if modulator_factory is not None else DeltaSigmaModulator
+        if factory not in (DeltaSigmaModulator, NearestLevelModulator):
+            raise ConfigurationError(
+                "ServerActuator rolls out DeltaSigmaModulator or "
+                f"NearestLevelModulator, not {factory!r}"
+            )
         self.server = server
         self.channels = [ChannelActuator(d, factory(d.domain)) for d in server.devices]
         n = len(self.channels)
-        self._applied_sum = np.zeros(n, dtype=np.float64)
-        self._applied_ticks = 0
-        # Batched per-tick rollout: eligible when every domain is an
-        # exact-uniform grid (nearest-level snapping then reduces to index
-        # arithmetic that reconstructs the very same float64 levels) and the
-        # modulators are one of the two stock kinds. Custom modulators and
-        # irregular grids keep the per-channel modulator path. State lives in
-        # plain Python float lists, not numpy arrays: at the handful of
-        # channels a server has, scalar IEEE arithmetic is both bit-identical
-        # to the vector expressions and severalfold cheaper per tick.
+        # The rollout below reproduces the channels' modulators bit for bit.
+        # State lives in plain Python float lists, not numpy arrays: at the
+        # handful of channels a server has, scalar IEEE arithmetic is both
+        # bit-identical to the vector expressions and severalfold cheaper
+        # per tick. A channel whose grid is exactly uniform snaps to its
+        # nearest level by index arithmetic (the levels reconstruct as
+        # ``f_min + pitch*k`` bit for bit, and comparing both neighbours
+        # keeps the resolve-ties-down rule); any other grid snaps through
+        # FrequencyDomain.nearest itself.
         domains = [d.domain for d in server.devices]
-        self._vec_mode: str | None = None
-        if vectorized_enabled() and all(
-            dom.uniform_pitch_mhz is not None for dom in domains
-        ):
-            if modulator_factory is None or modulator_factory is DeltaSigmaModulator:
-                self._vec_mode = "delta-sigma"
-            elif modulator_factory is NearestLevelModulator:
-                self._vec_mode = "nearest"
-        self._vec = self._vec_mode is not None
-        if self._vec:
-            self._f_min = [dom.f_min for dom in domains]
-            self._f_max = [dom.f_max for dom in domains]
-            self._grid_pitch = [dom.uniform_pitch_mhz for dom in domains]
-            self._k_max = [float(dom.n_levels - 2) for dom in domains]
-            self._tgt = [c.target_mhz for c in self.channels]
-            self._stale_targets = True
-            self._applied_vec = [0.0] * n
-            # Nearest-level modulation is stateless: the applied vector is a
-            # pure function of the targets, recomputed only on promotion.
-            self._applied_cache: list | None = None
-            if self._vec_mode == "delta-sigma":
-                # The anti-windup bound each DeltaSigmaModulator computed for
-                # itself — read back so the clip is bitwise the scalar one.
-                self._err_bound = [c.modulator._pitch for c in self.channels]
-                self._err = [0.0] * n
-            self._applied_sum_vec = [0.0] * n
+        self._domains = domains
+        self._delta_sigma = factory is DeltaSigmaModulator
+        self._f_min = [dom.f_min for dom in domains]
+        self._f_max = [dom.f_max for dom in domains]
+        self._grid_pitch = [dom.uniform_pitch_mhz for dom in domains]
+        self._k_max = [float(dom.n_levels - 2) for dom in domains]
+        self._tgt = [c.target_mhz for c in self.channels]
+        self._stale_targets = True
+        # Applied levels of the current tick. Nearest-level modulation is
+        # stateless, so for it they are recomputed only on promotion.
+        self._applied = [0.0] * n
+        if self._delta_sigma:
+            # The anti-windup bound each DeltaSigmaModulator computed for
+            # itself — read back so the clip is bitwise the scalar one.
+            self._err_bound = [c.modulator._pitch for c in self.channels]
+            self._err = [0.0] * n
+        self._applied_sum = [0.0] * n
+        self._applied_ticks = 0
 
     @property
     def n_channels(self) -> int:
@@ -138,27 +135,19 @@ class ServerActuator:
             )
         for chan, f in zip(self.channels, arr):
             chan.set_target(float(f))
-        if self._vec:
-            self._stale_targets = True
+        self._stale_targets = True
 
     def set_target(self, channel: int, f_mhz: float) -> None:
         """Stage a target for one channel."""
         self.channels[channel].set_target(f_mhz)
-        if self._vec:
-            self._stale_targets = True
+        self._stale_targets = True
 
     def tick(self):
-        """Advance all modulators one tick; returns applied discrete levels.
+        """Advance all modulators one tick; returns the applied discrete levels.
 
-        Returns an ``np.ndarray`` on the per-channel modulator path and a
-        plain list of floats on the batched path — the levels are identical;
-        the engine consumes neither (it reads the device bank).
+        The returned list may be overwritten by the next tick; the engine
+        does not read it (it reads the device bank).
         """
-        if not self._vec:
-            applied = np.array([c.tick() for c in self.channels], dtype=np.float64)
-            self._applied_sum += applied
-            self._applied_ticks += 1
-            return applied
         if self._stale_targets:
             # Promote pending commands (the one-tick latency) and refresh
             # the target vector; between control periods this is skipped.
@@ -169,14 +158,10 @@ class ServerActuator:
                     c._pending_mhz = None
                 tgt[i] = c._target_mhz
             self._stale_targets = False
-            if self._vec_mode == "nearest":
-                self._applied_cache = [
-                    self._snap_to_level(t, i) for i, t in enumerate(self._tgt)
-                ]
-        if self._vec_mode == "nearest":
-            # Stateless rounding: constant between target changes.
-            applied = self._applied_cache
-        else:
+            if not self._delta_sigma:
+                self._applied = [self._snap_to_level(t, i) for i, t in enumerate(tgt)]
+        applied = self._applied
+        if self._delta_sigma:
             # The delta-sigma rollout of DeltaSigmaModulator.next_level,
             # unrolled over channels with every float op in the modulator's
             # order — bitwise the same levels and error state. Targets are
@@ -189,43 +174,41 @@ class ServerActuator:
             f_max = self._f_max
             pitch = self._grid_pitch
             k_max = self._k_max
-            applied = self._applied_vec
             for i in range(len(applied)):
                 desired = tgt[i] + err[i]
                 lo = f_min[i]
                 hi = f_max[i]
                 clipped = lo if desired < lo else (hi if desired > hi else desired)
                 p = pitch[i]
-                k = floor((clipped - lo) / p)
-                km = k_max[i]
-                if k > km:
-                    k = km
-                below = lo + p * k
-                above = lo + p * (k + 1.0)
-                level = below if (clipped - below) <= (above - clipped) else above
+                if p is None:
+                    level = self._domains[i].nearest(clipped)
+                else:
+                    k = floor((clipped - lo) / p)
+                    km = k_max[i]
+                    if k > km:
+                        k = km
+                    below = lo + p * k
+                    above = lo + p * (k + 1.0)
+                    level = below if (clipped - below) <= (above - clipped) else above
                 applied[i] = level
                 e = desired - level
                 b = bound[i]
                 err[i] = -b if e < -b else (b if e > b else e)
         self.server.apply_frequency_levels(applied)
-        s = self._applied_sum_vec
+        s = self._applied_sum
         for i, a in enumerate(applied):
             s[i] += a
         self._applied_ticks += 1
         return applied
 
     def _snap_to_level(self, desired: float, i: int) -> float:
-        """Snap one desired frequency to channel ``i``'s nearest level.
-
-        Exploits the exact-uniform grids: levels reconstruct as
-        ``f_min + pitch*k`` bit-for-bit (checked at domain construction), and
-        comparing both neighbours reproduces the modulator's searchsorted
-        walk including its resolve-ties-down rule.
-        """
+        """Snap one desired frequency to channel ``i``'s nearest level."""
         lo = self._f_min[i]
         hi = self._f_max[i]
         clipped = lo if desired < lo else (hi if desired > hi else desired)
         p = self._grid_pitch[i]
+        if p is None:
+            return self._domains[i].nearest(clipped)
         k = math.floor((clipped - lo) / p)
         km = self._k_max[i]
         if k > km:
@@ -243,14 +226,10 @@ class ServerActuator:
         """
         if self._applied_ticks == 0:
             return self.targets()
-        if self._vec:
-            s = self._applied_sum_vec
-            avg = np.array(s, dtype=np.float64) / self._applied_ticks
-            for i in range(len(s)):
-                s[i] = 0.0
-        else:
-            avg = self._applied_sum / self._applied_ticks
-            self._applied_sum[:] = 0.0
+        s = self._applied_sum
+        avg = np.array(s, dtype=np.float64) / self._applied_ticks
+        for i in range(len(s)):
+            s[i] = 0.0
         self._applied_ticks = 0
         return avg
 
@@ -258,11 +237,10 @@ class ServerActuator:
         """Reset all channel actuators and the averaging window."""
         for c in self.channels:
             c.reset()
-        self._applied_sum[:] = 0.0
+        n = len(self.channels)
+        self._applied_sum = [0.0] * n
         self._applied_ticks = 0
-        if self._vec:
-            self._stale_targets = True
-            self._applied_cache = None
-            self._applied_sum_vec = [0.0] * len(self.channels)
-            if self._vec_mode == "delta-sigma":
-                self._err = [0.0] * len(self.channels)
+        self._stale_targets = True
+        if self._delta_sigma:
+            self._err = [0.0] * n
+

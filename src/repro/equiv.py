@@ -308,7 +308,7 @@ def run_scalar_capgpu_equivalence(
     """Single-server CapGPU equivalence on the scalar engine, faults allowed.
 
     Runs the paper scenario twice from identical seeds — once with the
-    reference MPC, once under :func:`repro.fast.mode.fast_engine` (which
+    reference MPC, once under :func:`repro.enginemode.fast_engine` (which
     swaps in the pre-solved-gain solver at construction) — and compares the
     closed-loop metrics. ``faults`` (a :class:`repro.faults.FaultPlan`)
     exercises the degradation ladder under both engines; the scalar plant

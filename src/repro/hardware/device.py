@@ -37,7 +37,7 @@ class FrequencyDomain:
         self._level_set = frozenset(self._levels.tolist())
         # A grid is "uniform" only if every level is *exactly* f0 + i*pitch
         # in float64 — then nearest-level arithmetic can replace the
-        # searchsorted walk with identical results (the vectorized actuator
+        # searchsorted walk with identical results (the server actuator
         # keys on this).
         if self._levels.size > 1:
             pitch = float(self._levels[1] - self._levels[0])

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..perf import vectorized_enabled
 from ..rng import BlockSampler
 from ..units import require_non_negative
 
@@ -109,12 +108,8 @@ class Ar1Noise:
         # Innovations are pre-drawn in blocks: generator batch draws consume
         # the bit stream exactly like repeated scalar draws, so samples (and
         # every digest downstream) are unchanged — only the per-call Python
-        # overhead goes away. Fixed at construction alongside the rng.
-        self._sampler = (
-            BlockSampler(rng, "normal", (0.0, self._sigma))
-            if rng is not None and vectorized_enabled()
-            else None
-        )
+        # overhead goes away.
+        self._sampler = BlockSampler(rng, "normal", (0.0, self._sigma))
 
     @property
     def stationary_std(self) -> float:
@@ -123,11 +118,7 @@ class Ar1Noise:
 
     def sample(self) -> float:
         """Advance one step and return the current noise value (watts)."""
-        if self._sampler is not None:
-            w = self._sampler.next()
-        else:
-            w = self._rng.normal(0.0, self._sigma)
-        self._state = self._rho * self._state + w
+        self._state = self._rho * self._state + self._sampler.next()
         return self._state
 
     def reset(self) -> None:

@@ -21,7 +21,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..perf import vectorized_enabled
 from ..rng import spawn
 from ..units import require_non_negative
 from .cpu import CpuModel
@@ -111,11 +110,9 @@ class GpuServer:
         # are stacked alongside, so per-tick power evaluation and actuation
         # are single vector expressions instead of per-device Python calls.
         # The scalar Device API writes through to the bank (see Device), so
-        # the arrays are always fresh on both paths; whether the *reads*
-        # below use them is fixed at construction time.
+        # the arrays are always fresh.
         devs = self.devices
         self._device_seq = tuple(devs)  # immutable hot-path view
-        self._vectorized = vectorized_enabled()
         self._bank_f = np.array([d.frequency_mhz for d in devs], dtype=np.float64)
         self._bank_u = np.array([d.utilization for d in devs], dtype=np.float64)
         for i, d in enumerate(devs):
@@ -137,9 +134,7 @@ class GpuServer:
         self._pm_omf_l = self._pm_one_minus_floor.tolist()
         self._pm_quad_l = self._pm_quad.tolist()
         self._pm_fref_l = self._pm_fref.tolist()
-        self._fast_power = (
-            self._vectorized and self.thermal_nodes is None and len(devs) < 8
-        )
+        self._fast_power = self.thermal_nodes is None and len(devs) < 8
 
     # -- structure ----------------------------------------------------------
 
@@ -206,9 +201,9 @@ class GpuServer:
     def apply_frequency_levels(self, levels_mhz) -> None:
         """Write one discrete level per device in a single vector store.
 
-        Actuation-layer fast path: the caller (the vectorized server
-        actuator) guarantees every entry is an exact grid level of the
-        matching domain, so the per-device ``contains`` validation of
+        Actuation-layer fast path: the caller (the server actuator)
+        guarantees every entry is an exact grid level of the matching
+        domain, so the per-device ``contains`` validation of
         :meth:`Device.apply_frequency` is skipped. Accepts an array or a
         plain list of floats. Scalar mirrors are kept in sync so
         ``device.frequency_mhz`` reads stay cheap and exact.
@@ -223,14 +218,12 @@ class GpuServer:
 
     def component_power_w(self) -> np.ndarray:
         """Per-channel device power (ground truth, no wall noise)."""
-        if self._vectorized:
-            # Same expression as DevicePowerModel.power_w, evaluated on the
-            # stacked state — elementwise float64 ops in the identical order,
-            # so each entry is bit-identical to the per-device scalar call.
-            activity = self._pm_floor + self._pm_one_minus_floor * self._bank_u
-            df = self._bank_f - self._pm_fref
-            return self._pm_idle + self._pm_dyn * self._bank_f * activity + self._pm_quad * df * df
-        return np.array([d.power_w() for d in self.devices], dtype=np.float64)
+        # Same expression as DevicePowerModel.power_w, evaluated on the
+        # stacked state — elementwise float64 ops in the identical order, so
+        # each entry is bit-identical to the per-device scalar call.
+        activity = self._pm_floor + self._pm_one_minus_floor * self._bank_u
+        df = self._bank_f - self._pm_fref
+        return self._pm_idle + self._pm_dyn * self._bank_f * activity + self._pm_quad * df * df
 
     def cpu_power_w(self) -> float:
         """Total CPU package power (what RAPL would report)."""
@@ -273,14 +266,9 @@ class GpuServer:
         if self.noise is not None:
             self._noise_value = self.noise.sample()
         if self.thermal_nodes is not None:
-            if self._vectorized:
-                hottest = ThermalNode.step_many(
-                    self.thermal_nodes, self.component_power_w().tolist(), dt_s
-                )
-            else:
-                hottest = -np.inf
-                for node, dev in zip(self.thermal_nodes, self.devices):
-                    hottest = max(hottest, node.step(dev.power_w(), dt_s))
+            hottest = ThermalNode.step_many(
+                self.thermal_nodes, self.component_power_w().tolist(), dt_s
+            )
             self.fan.update(hottest)
         else:
             self.fan.update(None if self.fan.mode.value == "fixed" else self.fan.t_low_c)
@@ -288,7 +276,7 @@ class GpuServer:
     def step_all(self, dt_s: float) -> float:
         """Advance all stacked device state one tick; returns wall power.
 
-        The vectorized engine's combined per-tick plant update: one
+        The engine's combined per-tick plant update: one
         :meth:`advance` over the banked device vectors followed by one
         ground-truth power evaluation, identical in value to calling the two
         scalar methods back to back. As a side effect the CPU package

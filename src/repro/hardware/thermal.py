@@ -69,9 +69,9 @@ class ThermalNode:
         """Advance several nodes one tick; returns the hottest temperature.
 
         Equivalent to calling :meth:`step` per node — each node keeps its
-        own ``math.exp`` (libm, so results match the scalar path exactly)
+        own ``math.exp`` (libm, so results match :meth:`step` exactly)
         while the state updates collapse into one pass. Used by the server's
-        vectorized stepping path.
+        stepping path.
         """
         import math
 

@@ -100,10 +100,9 @@ class BlockSampler:
     ``rng.poisson(lam)``, ...), which pays the Generator dispatch overhead on
     every draw. Pre-drawing a block with ``size=n`` consumes the *same*
     underlying bit stream as ``n`` scalar draws for the distributions used
-    here (normal, lognormal, poisson — verified by
-    ``tests/sim/test_vectorized_digest.py``), so handing out cached samples
-    one at a time is bit-for-bit equivalent and an order of magnitude
-    cheaper.
+    here (normal, lognormal, poisson — verified by ``tests/test_rng.py``),
+    so handing out cached samples one at a time is bit-for-bit equivalent
+    and an order of magnitude cheaper.
 
     One sampler serves one distribution with *fixed* parameters; that is the
     shape of every noise stream in the simulator (each component owns a

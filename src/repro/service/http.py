@@ -156,7 +156,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 (BaseHTTPRequestHandler API)
         split = urlsplit(self.path)
-        query = parse_qs(split.query)
+        # '+' is literal, not a form-encoded space: it joins shadow-spec
+        # keys (``cap=60+engine=fast``), and no parameter holds spaces.
+        query = parse_qs(split.query.replace("+", "%2B"))
         state = self.service.health.state
         try:
             if split.path == "/healthz":

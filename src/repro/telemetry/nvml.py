@@ -22,7 +22,6 @@ import numpy as np
 
 from ..errors import ConfigurationError, TelemetryError
 from ..hardware.server import GpuServer
-from ..perf import vectorized_enabled
 from ..rng import BlockSampler
 from ..units import milliwatts_to_watts, watts_to_milliwatts
 
@@ -71,9 +70,7 @@ class SimulatedNvml:
         # Per-query sensor noise pre-drawn in blocks; batch draws consume the
         # generator stream identically to scalar draws (bit-identical values).
         self._noise_sampler = (
-            BlockSampler(rng, "normal", (0.0, self._sigma))
-            if self._sigma > 0 and vectorized_enabled()
-            else None
+            BlockSampler(rng, "normal", (0.0, self._sigma)) if self._sigma > 0 else None
         )
         # Pending application-clock commands, applied by the actuation layer.
         self._pending_clocks: dict[int, float] = {}
@@ -99,11 +96,8 @@ class SimulatedNvml:
     def power_usage_mw(self, handle: NvmlDeviceHandle) -> float:
         """Instantaneous board power in milliwatts (``nvmlDeviceGetPowerUsage``)."""
         p = self._server.gpu_power_w(handle.index)
-        if self._sigma > 0:
-            if self._noise_sampler is not None:
-                p += self._noise_sampler.next()
-            else:
-                p += self._rng.normal(0.0, self._sigma)
+        if self._noise_sampler is not None:
+            p += self._noise_sampler.next()
         return watts_to_milliwatts(max(p, 0.0))
 
     def total_gpu_power_w(self) -> float:

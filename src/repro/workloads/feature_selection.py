@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..perf import vectorized_enabled
 from ..rng import BlockSampler
 from ..units import require_positive
 
@@ -162,13 +161,13 @@ class FeatureSelectionWorkload:
         self._total_latency_s = 0.0
         # Hot-path memoization: the clock takes few distinct values (discrete
         # DVFS levels), so rate and base latency are cached on the exact
-        # float frequency. On the vectorized path jitter draws are pre-drawn
-        # in blocks — bit-identical to the per-tick ``size=done`` draw.
+        # float frequency. Jitter draws are pre-drawn in blocks —
+        # bit-identical to a per-tick ``size=done`` draw.
         self._rate_cache: dict[float, float] = {}
         self._latency_cache: dict[float, float] = {}
         self._jitter_sampler = (
             BlockSampler(rng, "lognormal", (0.0, self.jitter_sigma))
-            if self.jitter_sigma > 0 and vectorized_enabled()
+            if self.jitter_sigma > 0
             else None
         )
 
@@ -206,12 +205,8 @@ class FeatureSelectionWorkload:
             base = self._latency_cache.get(f_ghz)
             if base is None:
                 base = self._latency_cache[f_ghz] = self.latency_s(f_ghz)
-            if self.jitter_sigma > 0:
-                if self._jitter_sampler is not None:
-                    latencies = [base * j for j in self._jitter_sampler.take(done)]
-                else:
-                    jit = self._rng.lognormal(0.0, self.jitter_sigma, size=done)
-                    latencies = list(base * jit)
+            if self._jitter_sampler is not None:
+                latencies = [base * j for j in self._jitter_sampler.take(done)]
             else:
                 latencies = [base] * done
             self.completed_subsets += done

@@ -34,7 +34,6 @@ from typing import Any, Protocol
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..perf import vectorized_enabled
 from ..rng import BlockSampler
 from ..units import require_positive
 from .models import InferenceModelSpec, sample_batch_work
@@ -180,12 +179,12 @@ class InferencePipeline:
         self.spec = spec
         self.config = config
         self._rng = rng
-        # Jitter draws pre-fetched in blocks on the fast path; batch draws
-        # consume the generator stream identically to per-batch scalar
-        # draws, so sampled work (and digests) are unchanged.
+        # Jitter draws pre-fetched in blocks; batch draws consume the
+        # generator stream identically to per-batch scalar draws, so sampled
+        # work (and digests) are those of one draw per batch.
         self._work_sampler = (
             BlockSampler(rng, "lognormal", (0.0, spec.jitter_sigma))
-            if spec.jitter_sigma > 0 and vectorized_enabled()
+            if spec.jitter_sigma > 0
             else None
         )
         # Current assembly size; mutable at run time (dynamic-batching

@@ -14,7 +14,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..perf import vectorized_enabled
 from ..rng import BlockSampler
 from ..units import require_non_negative, require_positive
 
@@ -68,18 +67,15 @@ class PoissonArrivals(ArrivalProcess):
         # mutated mid-run the sampler re-keys, discarding any buffered
         # draws — the stream stays seeded-deterministic but diverges from
         # the scalar draw order from that point on.
-        self._vec = vectorized_enabled()
         self._sampler: BlockSampler | None = None
         self._sampler_lam: float | None = None
 
     def arrivals(self, t_s: float, dt_s: float) -> float:
         lam = self.rate * dt_s
-        if self._vec:
-            if lam != self._sampler_lam:
-                self._sampler = BlockSampler(self._rng, "poisson", (lam,))
-                self._sampler_lam = lam
-            return float(self._sampler.next())
-        return float(self._rng.poisson(lam))
+        if lam != self._sampler_lam:
+            self._sampler = BlockSampler(self._rng, "poisson", (lam,))
+            self._sampler_lam = lam
+        return float(self._sampler.next())
 
 
 class TraceArrivals(ArrivalProcess):

@@ -1,5 +1,7 @@
 """Channel/server actuation: staging, tick application, applied averages."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,10 @@ from repro.actuators import (
     NearestLevelModulator,
     ServerActuator,
 )
-from repro.errors import ActuationError
+from repro.errors import ActuationError, ConfigurationError
+from repro.hardware import CpuModel, GpuModel, GpuServer, v100_server
+from repro.hardware.presets import TESLA_V100_16GB, XEON_GOLD_5215
+from repro.rng import spawn
 
 
 class TestChannelActuator:
@@ -106,3 +111,67 @@ class TestServerActuator:
         act.tick()
         act.reset()
         assert np.array_equal(act.targets(), quiet_server.frequency_vector())
+
+    def test_other_modulator_factory_rejected(self, quiet_server):
+        class Custom(NearestLevelModulator):
+            pass
+
+        def wrapped(domain):
+            return DeltaSigmaModulator(domain)
+
+        for factory in (Custom, wrapped):
+            with pytest.raises(ConfigurationError, match="DeltaSigmaModulator"):
+                ServerActuator(quiet_server, modulator_factory=factory)
+
+
+def irregular_server():
+    """A server whose CPU and one GPU have non-uniform level grids."""
+    cpu = replace(XEON_GOLD_5215, levels_mhz=(1000.0, 1200.0, 1300.0, 1500.0, 1800.0, 2400.0))
+    odd_gpu = replace(
+        TESLA_V100_16GB, core_levels_mhz=tuple(435.0 + 7.3 * i for i in range(126))
+    )
+    server = GpuServer(
+        cpus=[CpuModel(cpu)], gpus=[GpuModel(TESLA_V100_16GB), GpuModel(odd_gpu)], seed=None
+    )
+    assert [d.domain.uniform_pitch_mhz for d in server.devices] == [None, 15.0, None]
+    return server
+
+
+class TestBatchedRollout:
+    """One ServerActuator reproduces independent ChannelActuators bit for bit."""
+
+    @staticmethod
+    def targets(server):
+        rng = spawn(11, "actuator-rollout-test")
+        lo, hi = server.f_min_vector(), server.f_max_vector()
+        out = [rng.uniform(lo - 50.0, hi + 50.0) for _ in range(6)]
+        # Exact midpoints between neighbouring levels exercise the
+        # resolve-ties-down rule on every channel.
+        levels = [d.domain.levels for d in server.devices]
+        out.append(np.array([(lv[2] + lv[3]) / 2.0 for lv in levels]))
+        return out
+
+    @pytest.mark.parametrize(
+        "factory", [DeltaSigmaModulator, NearestLevelModulator], ids=["delta-sigma", "nearest"]
+    )
+    @pytest.mark.parametrize(
+        "build", [lambda: v100_server(seed=None), irregular_server], ids=["v100", "irregular"]
+    )
+    def test_bitwise_equal(self, factory, build):
+        batched_server, channel_server = build(), build()
+        act = ServerActuator(batched_server, factory)
+        chans = [ChannelActuator(d, factory(d.domain)) for d in channel_server.devices]
+        n_ticks = 40
+        for tgt in self.targets(batched_server):
+            act.set_targets(tgt)
+            for chan, f in zip(chans, tgt):
+                chan.set_target(float(f))
+            total = np.zeros(len(chans))
+            for _ in range(n_ticks):
+                act.tick()
+                total += [chan.tick() for chan in chans]
+                # Exact float equality, not allclose: the rollout must be bitwise.
+                assert np.array_equal(
+                    batched_server.frequency_vector(), channel_server.frequency_vector()
+                )
+            assert np.array_equal(act.applied_average_and_reset(), total / n_ticks)

@@ -87,6 +87,17 @@ class TestEndpoints:
         journaled = service.records[-1]["shadows"]["cap=80"]
         assert payload["shadows"]["cap=80"]["digest"] == journaled["digest"]
 
+    def test_whatif_spec_plus_is_literal(self, served):
+        """A raw '+' joins spec keys exactly as its percent-encoding does."""
+        _, server = served
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            raw = fetch(server, "/whatif?spec=cap=60+engine=fast")
+            encoded = fetch(server, "/whatif?spec=cap%3D60%2Bengine%3Dfast")
+        assert raw[0] == encoded[0] == 200
+        assert raw[1] == encoded[1]
+        assert "cap=60+engine=fast" in json.loads(raw[1])["shadows"]
+
     def test_whatif_rejects_bad_spec(self, served):
         _, server = served
         with pytest.raises(urllib.error.HTTPError) as exc:

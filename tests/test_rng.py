@@ -1,8 +1,9 @@
 """Deterministic RNG plumbing."""
 
 import numpy as np
+import pytest
 
-from repro.rng import make_rng, spawn
+from repro.rng import BlockSampler, make_rng, spawn
 
 
 class TestMakeRng:
@@ -46,3 +47,36 @@ class TestSpawn:
         _ = spawn(3, "new-component").random(100)
         a2 = spawn(3, "a").random(4)
         assert np.array_equal(a1, a2)
+
+
+class TestBlockSampler:
+    """Pre-drawing blocks must not perturb the underlying bit stream.
+
+    Every noise stream in the simulator is block-drawn, so this equality is
+    what makes its digests those of one scalar draw per sample.
+    """
+
+    def test_chunked_take_equals_scalar_draws(self):
+        sampler = BlockSampler(spawn(3, "bs-test"), "lognormal", (0.0, 0.3))
+        reference = spawn(3, "bs-test")
+        drawn = []
+        for n in (1, 5, 0, 64, 7, 200, 1):
+            drawn.extend(sampler.take(n))
+        expected = [float(reference.lognormal(0.0, 0.3)) for _ in range(len(drawn))]
+        assert drawn == expected
+
+    @pytest.mark.parametrize(
+        ("dist", "args"),
+        [("normal", (0.0, 3.5)), ("lognormal", (0.0, 0.06)), ("poisson", (4.2,))],
+    )
+    def test_next_equals_scalar_draws(self, dist, args):
+        sampler = BlockSampler(spawn(5, "bs-next"), dist, args, block=16)
+        reference = spawn(5, "bs-next")
+        drawn = [sampler.next() for _ in range(40)]
+        expected = [float(getattr(reference, dist)(*args)) for _ in range(40)]
+        assert drawn == expected
+
+    def test_take_rejects_negative(self):
+        sampler = BlockSampler(spawn(3, "bs-test"), "normal", (0.0, 1.0))
+        with pytest.raises(ValueError):
+            sampler.take(-1)
