@@ -16,9 +16,10 @@ behind. The recipe is the classic one:
    survives a crash.
 
 Readers therefore observe either the previous complete file or the new
-complete file, never a mixture. Append-only logs (the sweep WAL, event
-streams) are the one legitimate exception — they are written with
-per-line flush + fsync and readers tolerate a torn final line instead.
+complete file, never a mixture. Append-only logs are the one legitimate
+exception: the write-ahead log (:mod:`repro.checkpoint.wal`) appends one
+fsynced line at a time and its replay tolerates only a torn final line,
+which the next append cuts off.
 
 ``repro lint`` rule REP107 flags artifact writes inside ``src/repro``
 that bypass this module.
@@ -39,6 +40,7 @@ __all__ = [
     "atomic_write_json",
     "atomic_path",
     "fsync_file",
+    "fsync_dir",
 ]
 
 
@@ -48,8 +50,8 @@ def fsync_file(fh) -> None:
     os.fsync(fh.fileno())
 
 
-def _fsync_dir(directory: Path) -> None:
-    """Best-effort directory fsync (makes the rename durable on POSIX)."""
+def fsync_dir(directory: Path) -> None:
+    """Best-effort directory fsync (makes a rename or a new name durable on POSIX)."""
     try:
         fd = os.open(directory, os.O_RDONLY)
     except OSError:  # pragma: no cover - platform without dir fds
@@ -88,7 +90,7 @@ def atomic_path(path: str | Path, suffix: str | None = None) -> Iterator[Path]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    _fsync_dir(dest.parent)
+    fsync_dir(dest.parent)
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> Path:

@@ -10,10 +10,11 @@ This package provides the three layers that make that possible:
     in-place restore with **bit-identical** continuation: restore-then-run
     produces the same digests as an uninterrupted run.
 
-:mod:`~repro.checkpoint.journal`
-    An append-only write-ahead journal for sweeps: per-job terminal
-    records plus ``job_started`` markers, replayed by
-    ``repro sweep --resume`` to skip completed jobs and re-run only the
+:mod:`~repro.checkpoint.wal` / :mod:`~repro.checkpoint.journal`
+    The one write-ahead log (atomic manifest, hash-chained fsynced lines,
+    a replay that tolerates only a torn final line) and the sweep journal
+    on it: per-job terminal records plus ``job_started`` markers, replayed
+    by ``repro sweep --resume`` to skip completed jobs and re-run only the
     remainder with their original spawned seeds.
 
 :mod:`~repro.checkpoint.signals`

@@ -1,55 +1,36 @@
-"""Append-only write-ahead journal for sweep resume.
+"""Write-ahead journal for sweep resume.
 
-A journalled sweep directory contains two files:
+A journalled sweep directory is a :class:`~repro.checkpoint.wal.Journal`.
+Its ``manifest.json`` records the exact arguments the job list was built
+from (experiment ids, root seed, replicates, set points, extra params) plus
+the ordered job keys. ``--resume`` re-derives the job list from these
+arguments — per-job seeds come out identical because
+:func:`repro.runner.derive_replicate_seed` is a pure function of them — and
+cross-checks the keys against the manifest. Its ``journal.jsonl`` holds:
 
-``manifest.json``
-    Written once, atomically, when the sweep starts: the exact arguments
-    the job list was built from (experiment ids, root seed, replicates,
-    set points, extra params) plus the ordered job keys. ``--resume``
-    re-derives the job list from these arguments — per-job seeds come out
-    identical because :func:`repro.runner.derive_replicate_seed` is a pure
-    function of them — and cross-checks the keys against the manifest.
-
-``journal.jsonl``
-    The WAL proper: one JSON object per line, appended with per-line
-    flush + fsync. Entry kinds:
-
-    * ``job_started`` — written *before* a job is dispatched, so a resume
-      can distinguish never-started jobs from crashed-in-flight ones;
-    * ``job_done`` / ``job_failed`` — terminal outcomes, carrying the full
-      serialized :class:`~repro.runner.JobRecord`;
-    * ``shutdown`` — a structured signal-shutdown marker.
-
-    Appends cannot use temp-file+rename (that would rewrite the whole log
-    per job), so crash safety comes from the append-only discipline
-    instead: a torn final line is detected by its failure to decode and
-    simply ignored on replay — the job it described re-runs.
+* ``job_started`` — written *before* a job is dispatched, so a resume can
+  distinguish never-started jobs from crashed-in-flight ones;
+* ``job_done`` / ``job_failed`` — terminal outcomes, carrying the full
+  serialized :class:`~repro.runner.JobRecord`;
+* ``shutdown`` — a structured signal-shutdown marker.
 
 Replay keeps the *last* terminal entry per job key. Jobs with a terminal
 entry are skipped on resume (``failed`` included — a recorded failure is a
 result; re-running only the crashed remainder keeps resume cheap and
-deterministic); jobs that were started but never finished re-run.
+deterministic); jobs that were started but never finished re-run, as does
+the job a torn final line described.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..atomicio import atomic_write_json, fsync_file
-from ..errors import CheckpointError
+from .wal import MANIFEST_NAME, Journal
 
 __all__ = ["SweepJournal", "JournalReplay", "MANIFEST_NAME", "JOURNAL_NAME"]
 
-MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
-
-_MANIFEST_FORMAT = "repro-sweep-journal"
-_MANIFEST_SCHEMA = 1
-
-#: Journal entry kinds with a terminal job outcome attached.
-_TERMINAL_KINDS = ("job_done", "job_failed")
 
 
 @dataclass
@@ -59,8 +40,8 @@ class JournalReplay:
     ``completed`` maps job key -> the serialized record of its last
     terminal entry; ``in_flight`` holds keys that have a ``job_started``
     entry but no terminal one (crashed mid-job); ``shutdowns`` collects
-    structured shutdown events; ``torn_lines`` counts undecodable lines
-    (at most the final line after a crash mid-append).
+    structured shutdown events; ``torn_lines`` counts dropped torn final
+    lines (0 or 1).
     """
 
     completed: dict[str, dict] = field(default_factory=dict)
@@ -69,16 +50,18 @@ class JournalReplay:
     torn_lines: int = 0
 
 
-class SweepJournal:
+class SweepJournal(Journal):
     """One sweep's durable manifest + WAL, rooted at a directory."""
 
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self.manifest_path = self.directory / MANIFEST_NAME
-        self.journal_path = self.directory / JOURNAL_NAME
-        self._fh = None
+    label = "sweep"
+    schema = 2
+    log_name = JOURNAL_NAME
+    kinds = ("job_started", "job_done", "job_failed", "shutdown")
+    fresh_flag = "--journal-dir"
 
-    # -- lifecycle ---------------------------------------------------------
+    def __init__(self, directory: str | Path):
+        super().__init__(directory)
+        self.journal_path = self.log_path
 
     @classmethod
     def create(
@@ -93,18 +76,9 @@ class SweepJournal:
         job_keys: list[str],
     ) -> "SweepJournal":
         """Start a fresh journalled sweep (refuses to clobber an old one)."""
-        journal = cls(directory)
-        if journal.manifest_path.exists():
-            raise CheckpointError(
-                f"{journal.manifest_path} already exists — resume it with "
-                f"--resume, or point --journal-dir at a fresh directory"
-            )
-        journal.directory.mkdir(parents=True, exist_ok=True)
-        atomic_write_json(
-            journal.manifest_path,
+        return cls._create(
+            directory,
             {
-                "format": _MANIFEST_FORMAT,
-                "schema_version": _MANIFEST_SCHEMA,
                 "experiments": list(experiments),
                 "seed": int(seed),
                 "replicates": int(replicates),
@@ -113,94 +87,31 @@ class SweepJournal:
                 "job_keys": list(job_keys),
             },
         )
-        return journal
-
-    @classmethod
-    def open(cls, directory: str | Path) -> "SweepJournal":
-        """Attach to an existing journalled sweep for resume."""
-        journal = cls(directory)
-        journal.manifest()  # validates existence + schema
-        return journal
-
-    def manifest(self) -> dict:
-        """The validated sweep manifest."""
-        if not self.manifest_path.exists():
-            raise CheckpointError(f"no sweep manifest at {self.manifest_path}")
-        try:
-            manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"{self.manifest_path} is not valid JSON: {exc}") from exc
-        if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
-            raise CheckpointError(f"{self.manifest_path} is not a sweep manifest")
-        if manifest.get("schema_version") != _MANIFEST_SCHEMA:
-            raise CheckpointError(
-                f"unsupported sweep manifest schema "
-                f"{manifest.get('schema_version')!r} (this build reads "
-                f"{_MANIFEST_SCHEMA})"
-            )
-        return manifest
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "SweepJournal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- writing -----------------------------------------------------------
-
-    def append(self, entry: dict) -> None:
-        """Durably append one WAL entry (flush + fsync before returning)."""
-        if self._fh is None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.journal_path, "a", encoding="utf-8")
-        self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        fsync_file(self._fh)
 
     def job_started(self, job_key: str, attempt: int) -> None:
-        self.append({"kind": "job_started", "key": job_key, "attempt": int(attempt)})
+        self._append({"kind": "job_started", "key": job_key, "attempt": int(attempt)})
 
     def job_done(self, record_dict: dict) -> None:
-        self.append({"kind": "job_done", "key": record_dict["key"], "record": record_dict})
+        self._append({"kind": "job_done", "key": record_dict["key"], "record": record_dict})
 
     def job_failed(self, record_dict: dict) -> None:
-        self.append({"kind": "job_failed", "key": record_dict["key"], "record": record_dict})
+        self._append({"kind": "job_failed", "key": record_dict["key"], "record": record_dict})
 
     def shutdown(self, event: dict) -> None:
-        self.append({"kind": "shutdown", **event})
-
-    # -- replay ------------------------------------------------------------
+        self._append({"kind": "shutdown", **event})
 
     def replay(self) -> JournalReplay:
-        """Reconstruct completion state from the WAL (tolerating torn tails)."""
+        """Reconstruct completion state from the verified WAL."""
         replay = JournalReplay()
-        if not self.journal_path.exists():
-            return replay
         started: dict[str, int] = {}
-        with open(self.journal_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    # A crash mid-append leaves (at most) one torn trailing
-                    # line; the job it described simply re-runs.
-                    replay.torn_lines += 1
-                    continue
-                kind = entry.get("kind")
-                if kind == "job_started":
-                    started[entry["key"]] = entry.get("attempt", 1)
-                elif kind in _TERMINAL_KINDS:
-                    record = entry.get("record")
-                    if isinstance(record, dict) and "key" in record:
-                        replay.completed[record["key"]] = record
-                elif kind == "shutdown":
-                    replay.shutdowns.append(entry)
+        for _, entry in self._entries():
+            kind = entry["kind"]
+            if kind == "job_started":
+                started[entry["key"]] = entry.get("attempt", 1)
+            elif kind == "shutdown":
+                replay.shutdowns.append(entry)
+            else:
+                replay.completed[entry["key"]] = entry["record"]
+        replay.torn_lines = self.torn_lines
         replay.in_flight = [key for key in started if key not in replay.completed]
         return replay

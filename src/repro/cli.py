@@ -697,9 +697,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import os
 
     from .checkpoint import ShutdownFlag, install_signal_handlers, shutdown_event
+    from .errors import CheckpointError
     from .runner import run_sweep
 
-    jobs, journal, completed = _sweep_jobs_and_journal(args)
+    try:
+        jobs, journal, completed = _sweep_jobs_and_journal(args)
+    except CheckpointError as err:
+        # Journal refusals (bad manifest, drift, corrupt WAL) exit 2, as in serve.
+        print(f"sweep: {err}", file=sys.stderr)
+        return 2
     n_jobs = args.jobs if args.jobs >= 1 else (os.cpu_count() or 1)
     stop_flag = None
     if journal is not None:

@@ -1,44 +1,23 @@
 """Crash durability for the service: manifest + window WAL + state blob.
 
-A journalled service directory holds three files, all written through the
-PR 5 checkpoint/atomic-io layer:
-
-``manifest.json``
-    Written once, atomically, when the service starts: the full deployed
-    configuration (scenario, fleet size, window width, cadence, seed,
-    shadow specs) plus its topology hash. ``--resume`` takes its
-    configuration from here — exactly the sweep-journal discipline — and
-    refuses a manifest whose config hash no longer matches what the code
-    would rebuild.
-
-``windows.jsonl``
-    The WAL proper: one ``window_closed`` entry per closed window,
-    appended with per-line flush + fsync *before* the window's results
-    are served. Every entry carries ``chain`` — the sha256 of the
-    previous entry's chain and this entry's canonical body — so replay
-    can prove the ledger is an unbroken prefix of one run. A torn
-    **final** line (crash mid-append) is tolerated and dropped, like the
-    sweep WAL; any other defect — an undecodable interior line, an index
-    gap, a chain mismatch — is corruption and replay refuses cleanly
-    (:class:`~repro.errors.CheckpointError`) rather than resuming from a
-    ledger it cannot vouch for.
-
-``twin.ckpt``
-    A PR 5 checkpoint blob (sha256-verified, atomically replaced) of the
-    twins' captured state after the latest closed window. Resume restores
-    it when it matches the WAL head; when it lags (the blob write is
-    best-effort-last, the WAL is authoritative) the twins are rebuilt by
-    deterministic re-simulation and cross-checked digest for digest
-    against the WAL.
+A journalled service directory is a :class:`~repro.checkpoint.wal.Journal`
+whose manifest holds the deployed ``config`` (``--resume`` takes its
+configuration from there) and whose ``windows.jsonl`` log holds one
+``window_closed`` entry per closed window, appended *before* the window's
+results are served. The service core links each entry onto the chain
+itself; replay also requires window indices to count up from 0. Beside
+them, ``twin.ckpt`` is a checkpoint blob of the twins' state after the
+latest window: resume restores it when it matches the WAL head, and
+otherwise (the blob write is best-effort-last, the WAL is authoritative)
+rebuilds the twins by deterministic re-simulation, cross-checked digest
+for digest against the WAL.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from pathlib import Path
 
-from ..atomicio import atomic_write_json, fsync_file
+from ..checkpoint.wal import GENESIS_CHAIN, MANIFEST_NAME, Journal, chain_digest
 from ..errors import CheckpointError
 
 __all__ = [
@@ -50,160 +29,53 @@ __all__ = [
     "GENESIS_CHAIN",
 ]
 
-MANIFEST_NAME = "manifest.json"
 WINDOWS_WAL_NAME = "windows.jsonl"
 TWIN_BLOB_NAME = "twin.ckpt"
 
-_MANIFEST_FORMAT = "repro-service-journal"
-_MANIFEST_SCHEMA = 1
 
-#: The chain value before any window has closed.
-GENESIS_CHAIN = "genesis"
-
-
-def chain_digest(prev_chain: str, entry_body: dict) -> str:
-    """The WAL hash chain: sha256 over the previous link + this body."""
-    body = json.dumps(entry_body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256((prev_chain + "\n" + body).encode("utf-8")).hexdigest()
-
-
-class ServiceJournal:
+class ServiceJournal(Journal):
     """One service's durable manifest + window WAL, rooted at a directory."""
 
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self.manifest_path = self.directory / MANIFEST_NAME
-        self.wal_path = self.directory / WINDOWS_WAL_NAME
-        self.blob_path = self.directory / TWIN_BLOB_NAME
-        self._fh = None
+    label = "service"
+    schema = 1
+    log_name = WINDOWS_WAL_NAME
+    kinds = ("window_closed",)
+    fresh_flag = "--journal"
 
-    # -- lifecycle ---------------------------------------------------------
+    def __init__(self, directory: str | Path):
+        super().__init__(directory)
+        self.wal_path = self.log_path
+        self.blob_path = self.directory / TWIN_BLOB_NAME
 
     @classmethod
     def create(cls, directory: str | Path, config: dict) -> "ServiceJournal":
         """Start a fresh journalled service (refuses to clobber an old one)."""
-        journal = cls(directory)
-        if journal.manifest_path.exists():
-            raise CheckpointError(
-                f"{journal.manifest_path} already exists — resume it with "
-                f"--resume, or point --journal at a fresh directory"
-            )
-        journal.directory.mkdir(parents=True, exist_ok=True)
-        atomic_write_json(
-            journal.manifest_path,
-            {
-                "format": _MANIFEST_FORMAT,
-                "schema_version": _MANIFEST_SCHEMA,
-                "config": dict(config),
-            },
-        )
-        return journal
-
-    @classmethod
-    def open(cls, directory: str | Path) -> "ServiceJournal":
-        """Attach to an existing journalled service for resume."""
-        journal = cls(directory)
-        journal.manifest()  # validates existence + schema
-        return journal
+        return cls._create(directory, {"config": dict(config)})
 
     def manifest(self) -> dict:
         """The validated service manifest (returns the config mapping)."""
-        if not self.manifest_path.exists():
-            raise CheckpointError(f"no service manifest at {self.manifest_path}")
-        try:
-            manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(
-                f"{self.manifest_path} is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(manifest, dict) or manifest.get("format") != _MANIFEST_FORMAT:
-            raise CheckpointError(f"{self.manifest_path} is not a service manifest")
-        if manifest.get("schema_version") != _MANIFEST_SCHEMA:
-            raise CheckpointError(
-                f"unsupported service manifest schema "
-                f"{manifest.get('schema_version')!r} (this build reads "
-                f"{_MANIFEST_SCHEMA})"
-            )
-        config = manifest.get("config")
+        config = super().manifest().get("config")
         if not isinstance(config, dict):
             raise CheckpointError(f"{self.manifest_path} has no config mapping")
         return config
 
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "ServiceJournal":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # -- writing -----------------------------------------------------------
-
-    def _append(self, entry: dict) -> None:
-        if self._fh is None:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.wal_path, "a", encoding="utf-8")
-        self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-        fsync_file(self._fh)
-
     def append_window(self, entry: dict) -> None:
-        """Durably append one prepared ``window_closed`` entry.
+        """Durably append one ``window_closed`` entry the service core chained.
 
-        The caller (the service core) computes the entry body and its
-        ``chain`` link; this method only owns the append-with-fsync
-        discipline. Chain correctness is enforced on :meth:`replay`.
+        Chain correctness is enforced on :meth:`replay`.
         """
         if entry.get("kind") != "window_closed" or "chain" not in entry:
             raise CheckpointError("append_window takes a chained window_closed entry")
-        self._append(entry)
-
-    # -- replay ------------------------------------------------------------
+        self._write(entry)
 
     def replay(self) -> list[dict]:
         """Verify and return the WAL's ``window_closed`` entries, in order.
 
-        Tolerates exactly one torn *final* line (crash mid-append). Any
-        other malformation — undecodable interior lines, out-of-order or
-        gapped window indices, a broken hash chain — raises
-        :class:`CheckpointError`: a ledger that cannot be proven to be a
-        prefix of one uninterrupted run must not silently resume.
+        After the WAL's own checks (kind, then chain) on each entry, its
+        window index must be the next one.
         """
-        if not self.wal_path.exists():
-            return []
-        raw_lines = self.wal_path.read_text(encoding="utf-8").splitlines()
-        lines = [(i + 1, line) for i, line in enumerate(raw_lines) if line.strip()]
         entries: list[dict] = []
-        chain = GENESIS_CHAIN
-        for pos, (lineno, line) in enumerate(lines):
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                if pos == len(lines) - 1:
-                    # Crash mid-append tears at most the final line; the
-                    # window it described simply re-closes and re-journals.
-                    return entries
-                raise CheckpointError(
-                    f"{self.wal_path}:{lineno}: undecodable interior WAL "
-                    "line — the journal is corrupt, refusing to resume"
-                ) from None
-            if not isinstance(entry, dict) or entry.get("kind") != "window_closed":
-                raise CheckpointError(
-                    f"{self.wal_path}:{lineno}: unexpected WAL entry "
-                    f"{entry.get('kind') if isinstance(entry, dict) else entry!r} "
-                    "— the journal is corrupt, refusing to resume"
-                )
-            recorded_chain = entry.get("chain")
-            body = {k: v for k, v in entry.items() if k != "chain"}
-            expected = chain_digest(chain, body)
-            if recorded_chain != expected:
-                raise CheckpointError(
-                    f"{self.wal_path}:{lineno}: hash chain mismatch — the "
-                    "journal tail was modified or truncated mid-file, "
-                    "refusing to resume"
-                )
+        for lineno, entry in self._entries():
             index = entry.get("window", {}).get("index")
             if index != len(entries):
                 raise CheckpointError(
@@ -211,7 +83,6 @@ class ServiceJournal:
                     f"{len(entries)} was expected — the journal is corrupt, "
                     "refusing to resume"
                 )
-            chain = expected
             entries.append(entry)
         return entries
 

@@ -55,6 +55,15 @@ class TestLifecycle:
         with pytest.raises(CheckpointError, match="unsupported sweep manifest schema"):
             SweepJournal.open(directory)
 
+    def test_open_rejects_unchained_schema_1_journal(self, tmp_path):
+        directory = tmp_path / "j"
+        directory.mkdir()
+        (directory / MANIFEST_NAME).write_text(
+            json.dumps({"format": "repro-sweep-journal", "schema_version": 1})
+        )
+        with pytest.raises(CheckpointError, match="schema 1 .this build reads 2"):
+            SweepJournal.open(directory)
+
 
 class TestReplay:
     def test_no_journal_file_replays_empty(self, tmp_path):
@@ -99,6 +108,31 @@ class TestReplay:
         assert set(replay.completed) == {"a"}
         assert replay.in_flight == ["b"]  # the torn job simply re-runs
 
+    def test_final_line_without_newline_is_torn(self, tmp_path):
+        with SweepJournal.create(tmp_path / "j", **manifest_args(["a"])) as journal:
+            journal.job_started("a", 1)
+            journal.job_done({"key": "a", "status": "ok"})
+        # The write reached the file but not its fsync: nothing was acknowledged.
+        journal.journal_path.write_bytes(journal.journal_path.read_bytes()[:-1])
+        replay = journal.replay()
+        assert replay.torn_lines == 1
+        assert replay.completed == {} and replay.in_flight == ["a"]
+
+    def test_double_resume_after_torn_tail_replays_every_entry(self, tmp_path):
+        keys = ["a", "b", "c", "d", "e", "f"]
+        with SweepJournal.create(tmp_path / "j", **manifest_args(keys)) as journal:
+            for key in keys[:3]:
+                journal.job_done({"key": key, "status": "ok"})
+        with open(journal.journal_path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind": "job_done", "key": "d", "rec')  # crash mid-append
+        with SweepJournal.open(tmp_path / "j") as resumed:
+            assert resumed.replay().torn_lines == 1
+            # The first append cuts the torn bytes instead of fusing onto them.
+            for key in keys[3:]:
+                resumed.job_done({"key": key, "status": "ok"})
+        replay = SweepJournal.open(tmp_path / "j").replay()
+        assert list(replay.completed) == keys and replay.torn_lines == 0
+
     def test_shutdown_events_are_collected(self, tmp_path):
         with SweepJournal.create(tmp_path / "j", **manifest_args([])) as journal:
             journal.shutdown(shutdown_event(signal.SIGTERM, checkpoint="j"))
@@ -114,3 +148,48 @@ class TestReplay:
         lines = journal.journal_path.read_text().splitlines()
         kinds = [json.loads(line)["kind"] for line in lines]
         assert kinds == ["job_started", "job_done"]
+
+
+class TestCorruptionRefused:
+    """Interior damage refuses the resume, exactly like the service WAL."""
+
+    @staticmethod
+    def journal_lines(tmp_path):
+        with SweepJournal.create(tmp_path / "j", **manifest_args(["a", "b"])) as journal:
+            journal.job_started("a", 1)
+            journal.job_done({"key": "a", "status": "ok", "digest": "d0"})
+            journal.job_started("b", 1)
+        return journal, journal.journal_path.read_text().splitlines()
+
+    @staticmethod
+    def rewrite(journal, lines):
+        journal.journal_path.write_text("\n".join(lines) + "\n")
+
+    def test_undecodable_interior_line_refuses(self, tmp_path):
+        journal, lines = self.journal_lines(tmp_path)
+        lines[1] = "{broken"
+        self.rewrite(journal, lines)
+        with pytest.raises(CheckpointError, match="undecodable interior"):
+            journal.replay()
+
+    def test_edited_record_breaks_the_chain(self, tmp_path):
+        journal, lines = self.journal_lines(tmp_path)
+        entry = json.loads(lines[1])
+        entry["record"]["digest"] = "forged"  # still valid JSON
+        lines[1] = json.dumps(entry, sort_keys=True)
+        self.rewrite(journal, lines)
+        with pytest.raises(CheckpointError, match="hash chain mismatch"):
+            journal.replay()
+
+    def test_dropped_interior_line_breaks_the_chain(self, tmp_path):
+        journal, lines = self.journal_lines(tmp_path)
+        self.rewrite(journal, [lines[0], lines[2]])
+        with pytest.raises(CheckpointError, match="hash chain mismatch"):
+            journal.replay()
+
+    def test_unknown_kind_refuses(self, tmp_path):
+        journal, lines = self.journal_lines(tmp_path)
+        lines.insert(1, json.dumps({"kind": "note", "chain": "x"}))
+        self.rewrite(journal, lines)
+        with pytest.raises(CheckpointError, match="unexpected WAL entry"):
+            journal.replay()

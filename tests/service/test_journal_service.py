@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.checkpoint import wal
 from repro.errors import CheckpointError
 from repro.service.journal import (
     GENESIS_CHAIN,
@@ -24,10 +25,10 @@ def entry_for(index, chain):
     return {**body, "chain": chain_digest(chain, body)}
 
 
-def write_entries(journal, n, start_chain=GENESIS_CHAIN):
+def write_entries(journal, n, start_chain=GENESIS_CHAIN, start=0):
     chain = start_chain
     entries = []
-    for i in range(n):
+    for i in range(start, start + n):
         entry = entry_for(i, chain)
         journal.append_window(entry)
         chain = entry["chain"]
@@ -92,6 +93,30 @@ class TestWal:
             fh.write('{"kind": "window_clo')  # crash mid-append
         replayed = ServiceJournal.open(tmp_path / "svc").replay()
         assert len(replayed) == 2
+
+    def test_double_resume_after_torn_tail_replays_every_window(self, tmp_path):
+        journal = ServiceJournal.create(tmp_path / "svc", {})
+        first = write_entries(journal, 3)
+        journal.close()
+        with open(journal.wal_path, "a", encoding="utf-8") as fh:
+            fh.write('{"kind": "window_clo')  # crash mid-append
+        with ServiceJournal.open(tmp_path / "svc") as resumed:
+            assert resumed.replay() == first
+            # The first append cuts the torn bytes instead of fusing onto them.
+            rest = write_entries(resumed, 3, start_chain=first[-1]["chain"], start=3)
+        assert ServiceJournal.open(tmp_path / "svc").replay() == first + rest
+
+    def test_creating_the_log_fsyncs_its_directory_once(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(wal, "fsync_dir", calls.append)
+        with ServiceJournal.create(tmp_path / "svc", {}) as journal:
+            entries = write_entries(journal, 3)
+        assert calls == [tmp_path / "svc"]
+        calls.clear()
+        with ServiceJournal.open(tmp_path / "svc") as reopened:
+            assert reopened.replay() == entries
+            write_entries(reopened, 1, start_chain=entries[-1]["chain"], start=3)
+        assert calls == []
 
     def test_undecodable_interior_line_refuses(self, tmp_path):
         journal = ServiceJournal.create(tmp_path / "svc", {})

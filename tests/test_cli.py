@@ -250,9 +250,8 @@ class TestJournalledSweepCli:
         with pytest.raises(SystemExit, match="experiment ids required"):
             main(["sweep", "--jobs", "1"])
 
-    def test_resume_detects_manifest_drift(self, tmp_path):
+    def test_resume_detects_manifest_drift(self, tmp_path, capsys):
         from repro.checkpoint import SweepJournal
-        from repro.errors import CheckpointError
 
         SweepJournal.create(
             tmp_path / "j",
@@ -260,15 +259,13 @@ class TestJournalledSweepCli:
             set_points_w=None, extra_params={},
             job_keys=["table1[seed=999]"],  # not what build_jobs derives
         )
-        with pytest.raises(CheckpointError, match="does not match the manifest"):
-            main(["sweep", "--resume", str(tmp_path / "j"), "--jobs", "1"])
+        assert main(["sweep", "--resume", str(tmp_path / "j"), "--jobs", "1"]) == 2
+        assert "does not match the manifest" in capsys.readouterr().err
 
     def test_journalled_sweep_then_resume(
         self, tmp_path, capsys, preserve_signal_handlers
     ):
         import json
-
-        from repro.errors import CheckpointError
 
         journal = tmp_path / "j"
         out_first = tmp_path / "first.json"
@@ -280,11 +277,12 @@ class TestJournalledSweepCli:
         capsys.readouterr()
 
         # A fresh sweep must not clobber the finished journal.
-        with pytest.raises(CheckpointError, match="already exists"):
-            main([
-                "sweep", "table1", "--jobs", "1", "--quiet",
-                "--journal-dir", str(journal),
-            ])
+        code = main([
+            "sweep", "table1", "--jobs", "1", "--quiet",
+            "--journal-dir", str(journal),
+        ])
+        assert code == 2
+        assert "already exists" in capsys.readouterr().err
 
         # Resuming the finished sweep re-runs nothing and matches bit-for-bit.
         out_resumed = tmp_path / "resumed.json"
@@ -298,3 +296,39 @@ class TestJournalledSweepCli:
         resumed = json.loads(out_resumed.read_text())
         assert resumed["checksum"] == first["checksum"]
         assert resumed["interrupted"] is False
+
+    def test_resume_without_manifest_exits_2(self, tmp_path, capsys):
+        assert main(["sweep", "--resume", str(tmp_path / "missing"), "--jobs", "1"]) == 2
+        manifest = tmp_path / "missing" / "manifest.json"
+        assert capsys.readouterr().err.splitlines() == [f"sweep: no sweep manifest at {manifest}"]
+
+    @pytest.mark.parametrize(
+        ("damage", "message"),
+        [("interior-torn-line", "undecodable interior"), ("edited-record", "hash chain mismatch")],
+        ids=["interior-torn-line", "edited-record"],
+    )
+    def test_resume_refuses_a_corrupt_journal(
+        self, tmp_path, capsys, preserve_signal_handlers, damage, message
+    ):
+        import json
+
+        journal = tmp_path / "j"
+        assert main([
+            "sweep", "table1", "--replicates", "2", "--jobs", "1", "--quiet",
+            "--journal-dir", str(journal),
+        ]) == 0
+        capsys.readouterr()
+        wal = journal / "journal.jsonl"
+        lines = wal.read_text().splitlines()
+        if damage == "interior-torn-line":
+            lines[1] = lines[1][: len(lines[1]) // 2]  # the first job_done
+        else:
+            entry = json.loads(lines[-1])
+            entry["record"]["digest"] = "0" * 64  # still valid JSON
+            lines[-1] = json.dumps(entry, sort_keys=True)
+        wal.write_text("\n".join(lines) + "\n")
+
+        code = main(["sweep", "--resume", str(journal), "--jobs", "1", "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sweep: ") and message in err[0]
