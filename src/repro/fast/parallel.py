@@ -69,7 +69,7 @@ def _worker_main(
                 backend.set_budgets(payload)
                 conn.send(("ok", None))
             elif cmd == "trace":
-                conn.send(("ok", [row[payload].tolist() for row in backend._rows]))
+                conn.send(("ok", backend.server_trace(payload).as_array()))
             elif cmd == "close":
                 conn.send(("ok", None))
                 return
@@ -248,10 +248,7 @@ class ParallelFleetBackend(FleetBackend):
                 status, rows = conn.recv()
                 if status != "ok":  # pragma: no cover - protocol guard
                     raise ConfigurationError(f"fleet worker failed: {rows}")
-                trace = Trace(self._channels, capacity=max(len(rows), 1))
-                for row in rows:
-                    trace.append_row(dict(zip(self._channels, row)))
-                return trace
+                return Trace.from_array(self._channels, rows)
         raise ConfigurationError(f"no worker owns server index {index}")
 
     # -- lifecycle -----------------------------------------------------------

@@ -378,10 +378,11 @@ class SoaFleetBackend(FleetBackend):
         return self._rows[-1][:, self._chan_index["power_w"]].tolist()
 
     def server_trace(self, index: int) -> Trace:
-        trace = Trace(self._channels, capacity=max(len(self._rows), 1))
-        for row in self._rows:
-            trace.append_row(dict(zip(self._channels, row[index].tolist())))
-        return trace
+        if not self._rows:
+            return Trace(self._channels, capacity=1)
+        return Trace.from_array(
+            self._channels, np.array([row[index] for row in self._rows])
+        )
 
     # -- stepping ----------------------------------------------------------
 

@@ -44,6 +44,25 @@ class Trace:
         self._data = np.full((int(capacity), len(names)), np.nan, dtype=np.float64)
         self._len = 0
 
+    @classmethod
+    def from_array(cls, channels: Iterable[str], rows: np.ndarray) -> Trace:
+        """Return a trace holding a copy of ``rows``, shape ``(n_rows, n_channels)``.
+
+        The bulk counterpart of :meth:`append`: one array copy instead of one
+        call per row. Column ``j`` of ``rows`` is channel ``j``; the trace can
+        still be appended to.
+        """
+        names = tuple(channels)
+        if rows.ndim != 2 or rows.shape[1] != len(names):
+            raise ConfigurationError(
+                f"rows must have shape (n_rows, {len(names)}), got {rows.shape}"
+            )
+        n_rows = rows.shape[0]
+        trace = cls(names, capacity=max(n_rows, 1))
+        trace._data[:n_rows] = rows
+        trace._len = n_rows
+        return trace
+
     # -- recording ---------------------------------------------------------
 
     def append(self, **values: float) -> None:

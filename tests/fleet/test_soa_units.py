@@ -81,6 +81,19 @@ class TestValidation:
         assert len(trace) == 0
         assert "power_w" in trace
 
+    def test_server_trace_is_a_detached_copy(self):
+        be = backend()
+        be.run_periods(2)
+        early = be.server_trace(1)
+        snapshot = early.as_array()
+        be.run_periods(3)
+        assert len(early) == 2
+        assert np.array_equal(early.as_array(), snapshot, equal_nan=True)
+        early["power_w"][:] = -1.0
+        again = be.server_trace(1)
+        assert len(again) == 5
+        assert np.array_equal(again.as_array()[:2], snapshot, equal_nan=True)
+
     def test_non_finite_targets_rejected(self):
         be = backend()
         bad = np.full((2, be.n_channels), np.nan)

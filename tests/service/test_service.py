@@ -175,6 +175,7 @@ class TestDurability:
         straight = DigitalTwinService(config())
         feed_windows(straight, 4)
         assert straight.records[-1]["deployed"]["digest"] == continued_digest
+        assert resumed.chain == straight.chain
         straight.close()
 
     def test_refeeding_the_stream_after_resume_converges(self, tmp_path):

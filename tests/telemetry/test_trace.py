@@ -115,3 +115,36 @@ class TestAppendAndRead:
         for v in values:
             t.append(v=v)
         assert np.array_equal(t["v"], np.asarray(values))
+
+
+class TestFromArray:
+    def test_copies_rows(self):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        t = Trace.from_array(["x", "y"], rows)
+        rows[0, 0] = 99.0
+        assert np.array_equal(t.as_array(), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_rejects_one_dimensional_rows(self):
+        with pytest.raises(ConfigurationError):
+            Trace.from_array(["x", "y"], np.array([1.0, 2.0]))
+
+    def test_rejects_wrong_column_count(self):
+        with pytest.raises(ConfigurationError):
+            Trace.from_array(["x", "y"], np.zeros((3, 3)))
+
+    def test_zero_rows_give_empty_trace(self):
+        t = Trace.from_array(["x", "y"], np.empty((0, 2)))
+        assert len(t) == 0
+        assert t.channels == ("x", "y")
+        assert t["y"].size == 0
+
+    def test_nan_cells_stay_nan(self):
+        t = Trace.from_array(["x", "y"], np.array([[np.nan, 1.0], [2.0, np.nan]]))
+        assert np.isnan(t["x"][0]) and np.isnan(t["y"][1])
+        assert t["x"][1] == 2.0
+
+    def test_append_grows_past_adopted_rows(self):
+        t = Trace.from_array(["x"], np.arange(3.0).reshape(3, 1))
+        for i in range(3, 10):
+            t.append(x=float(i))
+        assert np.array_equal(t["x"], np.arange(10.0))
