@@ -33,9 +33,15 @@ Entries:
     ``cap=80,cap=120``) fed a seeded event stream: the chain head replayed
     from its WAL and the deployed twin's digest at the last window.
 
-The child also accepts ``experiment/<id>@<seed>``, a registered experiment
-at any seed. Such names are not corpus entries; tests that pin an
-experiment's digest at another seed use them.
+The child also accepts two seeded names. Neither is a corpus entry; tests
+that pin a digest at another seed use them:
+
+``experiment/<id>@<seed>``
+    a registered experiment at any seed;
+``twin/<scenario>@<seed>/<twin>``
+    the digest one ``repro twin --scenario <scenario> --servers 8
+    --windows 6 --seed <seed>`` reports for ``<twin>``: ``deployed`` or a
+    shadow spec such as ``cap=60+engine=fast``.
 """
 
 from __future__ import annotations
@@ -77,6 +83,8 @@ SERVICE_SERVERS = 8
 SERVICE_SHADOWS = "cap=80,cap=120"
 SERVICE_WINDOWS = 8
 EVENTS_PER_WINDOW = 12
+TWIN_SERVERS = 8
+TWIN_WINDOWS = 6
 
 
 def sha256(text: str) -> str:
@@ -104,6 +112,19 @@ def fleet_digest(scenario_name: str, backend: str) -> str:
     traces = [fleet.trace]
     traces += [fleet.backend.server_trace(i) for i in range(fleet.n_servers)]
     return sha256(canonical_json(traces))
+
+
+def twin_digest(scenario: str, seed: int, twin: str) -> str:
+    from repro.service import offline_whatif
+    from repro.service.shadow import parse_shadow_spec
+
+    shadows = () if twin == "deployed" else (parse_shadow_spec(twin),)
+    answers = offline_whatif(
+        scenario, TWIN_SERVERS, TWIN_WINDOWS, seed=seed, shadows=shadows
+    )
+    if twin == "deployed":
+        return answers["deployed"]["digest"]
+    return answers["shadows"][twin]["digest"]
 
 
 def event_lines(seed: int) -> list[str]:
@@ -189,14 +210,22 @@ def entries() -> dict[str, Callable[[], str]]:
 
 
 def seeded(name: str) -> Callable[[], str] | None:
-    """The thunk for ``experiment/<id>@<seed>``, or None if ``name`` is not one."""
+    """The thunk for a seeded name, or None if ``name`` is not one."""
     from repro.experiments import experiment_ids
+    from repro.fleet.scenarios import FLEET_SCENARIOS
 
     kind, _, rest = name.partition("/")
-    eid, at, seed = rest.rpartition("@")
-    if kind != "experiment" or not at or eid not in experiment_ids() or not seed.isdigit():
+    twin = ""
+    if kind == "twin":
+        rest, _, twin = rest.partition("/")
+    target, at, seed = rest.rpartition("@")
+    if not at or not seed.isdigit():
         return None
-    return functools.partial(experiment_digest, eid, int(seed))
+    if kind == "experiment" and target in experiment_ids():
+        return functools.partial(experiment_digest, target, int(seed))
+    if kind == "twin" and target in FLEET_SCENARIOS and twin:
+        return functools.partial(twin_digest, target, int(seed), twin)
+    return None
 
 
 def header() -> dict:
