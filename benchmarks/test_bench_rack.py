@@ -2,14 +2,15 @@
 
 import numpy as np
 
-from repro.cluster import ProportionalDemandAllocator, RackServer, RackSimulation
+from repro.cluster import ProportionalDemandAllocator
 from repro.core import build_capgpu
 from repro.experiments.common import identified_model
+from repro.fleet import FleetServer, FleetSimulation, ReferenceBackend
 from repro.sim import paper_scenario
 from repro.workloads import SteadyArrivals
 
 
-def _build_rack(budget_w: float):
+def _rack(budget_w: float) -> FleetSimulation:
     model = identified_model(0)
     servers = []
     for i in range(3):
@@ -17,15 +18,15 @@ def _build_rack(budget_w: float):
         if i == 2:  # lightly loaded server
             for pipe in sim.pipelines:
                 pipe.arrivals = SteadyArrivals(0.3 * pipe.spec.max_throughput_img_s())
-        servers.append(RackServer(f"srv{i}", sim, build_capgpu(sim, model=model)))
-    return RackSimulation(
-        servers, ProportionalDemandAllocator(), rack_budget_w=budget_w,
-        periods_per_rack_period=5,
+        servers.append(FleetServer(f"srv{i}", sim, build_capgpu(sim, model=model)))
+    return FleetSimulation(
+        ReferenceBackend(servers), budget_w=budget_w,
+        allocation=ProportionalDemandAllocator(), periods_per_rack_period=5,
     )
 
 
 def run_rack_scenario():
-    rack = _build_rack(2700.0)
+    rack = _rack(2700.0)
     rack.run(6)
     rack.set_budget(2500.0)
     rack.run(6)

@@ -12,8 +12,9 @@ the allocator squeezes the least-demanding server hardest.
 Run:  python examples/rack_capping.py
 """
 
-from repro.cluster import ProportionalDemandAllocator, RackServer, RackSimulation
+from repro.cluster import ProportionalDemandAllocator
 from repro.core import build_capgpu
+from repro.fleet import FleetServer, FleetSimulation, ReferenceBackend
 from repro.sim import paper_scenario
 from repro.workloads import SteadyArrivals
 
@@ -22,7 +23,7 @@ RACK_BUDGET_W = 2700.0
 CURTAILED_BUDGET_W = 2500.0
 
 
-def main() -> None:
+def main() -> FleetSimulation:
     from repro.sysid import identify_power_model
 
     print("Identifying one server model (all servers share the hardware)...")
@@ -37,12 +38,14 @@ def main() -> None:
                 rate = 0.3 * pipe.spec.max_throughput_img_s()
                 pipe.arrivals = SteadyArrivals(rate)
         controller = build_capgpu(sim, model=model)
-        servers.append(RackServer(f"srv{i}", sim, controller))
+        servers.append(FleetServer(f"srv{i}", sim, controller))
 
-    rack = RackSimulation(
-        servers,
-        ProportionalDemandAllocator(),
-        rack_budget_w=RACK_BUDGET_W,
+    # A rack is a one-rack fleet: the scalar reference backend under one
+    # flat allocator.
+    rack = FleetSimulation(
+        ReferenceBackend(servers),
+        budget_w=RACK_BUDGET_W,
+        allocation=ProportionalDemandAllocator(),
         periods_per_rack_period=5,
     )
 
@@ -70,6 +73,7 @@ def main() -> None:
         "\nNote how the lightly loaded srv2 reports low demand and cedes "
         "budget to the busy servers, especially after the curtailment."
     )
+    return rack
 
 
 if __name__ == "__main__":

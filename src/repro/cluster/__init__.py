@@ -1,8 +1,12 @@
-"""Rack-level hierarchical power capping over CapGPU servers (extension).
+"""Rack budget allocators for hierarchical power capping (extension).
 
 See DESIGN.md: this layer implements the oversubscription context the paper
 motivates (Dynamo-style budget reallocation), with CapGPU as the per-server
-enforcement mechanism.
+enforcement mechanism. Each allocator divides one budget among the servers
+below it. A rack runs under one allocator as
+``FleetSimulation(ReferenceBackend([FleetServer(...), ...]), budget_w,
+allocator)`` (:mod:`repro.fleet`), and the interior nodes of a fleet's
+budget tree reuse the same policies.
 """
 
 from .allocator import (
@@ -13,23 +17,10 @@ from .allocator import (
     ServerPowerState,
 )
 
-
-def __getattr__(name: str):
-    # RackSimulation is a shim over repro.fleet, which itself builds on
-    # .allocator — importing .rack lazily keeps the package import acyclic
-    # whichever of repro.cluster / repro.fleet loads first.
-    if name in ("RackServer", "RackSimulation"):
-        from . import rack
-
-        return getattr(rack, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "ServerPowerState",
     "BudgetAllocator",
     "FairShareAllocator",
     "ProportionalDemandAllocator",
     "PriorityAllocator",
-    "RackServer",
-    "RackSimulation",
 ]

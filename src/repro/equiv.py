@@ -292,9 +292,7 @@ def run_fleet_equivalence(
         )
     finally:
         for fleet in fleets:
-            closer = getattr(fleet.backend, "close", None)
-            if callable(closer):
-                closer()
+            fleet.backend.close()
     return report
 
 

@@ -16,13 +16,10 @@ cross-check (``tests/fleet/test_differential.py``).
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from ..analysis import format_table
 from ..errors import ConfigurationError
-from ..fleet import FleetSimulation, ReferenceBackend, SoaFleetBackend, build_scalar_twin
 from ..fleet.scenarios import fleet_scenario
 from .common import ExperimentResult
 
@@ -32,43 +29,6 @@ __all__ = ["run_fig9_scale"]
 #: static-load scenarios budget ~730 W/server against a ~692 W achievable
 #: floor, so 4% is a deep cut that stays feasible at every tree level.
 CURTAIL_FRACTION = 0.04
-
-
-def _build_fleet(scenario, backend: str, n_servers: int, seed: int) -> FleetSimulation:
-    """The scenario's fleet with every server's RNG streams shifted by the
-    experiment seed (replicates re-randomize noise, not the topology)."""
-    if not scenario.soa_capable:
-        raise ConfigurationError(
-            f"fleet scenario {scenario.name!r} is reference-only; "
-            "fig9-scale needs a spec-built (static-load) scenario"
-        )
-    specs = [
-        dataclasses.replace(s, seed=s.seed + 100_000 * seed)
-        for s in scenario.specs(n_servers)
-    ]
-    if backend == "soa":
-        be: object = SoaFleetBackend(specs)
-    elif backend == "reference":
-        be = ReferenceBackend([build_scalar_twin(s) for s in specs])
-    elif backend == "fast":
-        from ..fast.fleet import FastFleetBackend
-
-        be = FastFleetBackend(specs)
-    elif backend == "fast-parallel":
-        from ..fast.parallel import ParallelFleetBackend
-
-        be = ParallelFleetBackend(specs)
-    else:
-        raise ConfigurationError(
-            f"unknown fleet backend {backend!r}; have soa, reference, fast, "
-            f"fast-parallel"
-        )
-    return FleetSimulation(
-        be,
-        budget_w=scenario.budget_w(n_servers),
-        allocation=scenario.allocation(n_servers),
-        periods_per_rack_period=scenario.periods_per_rack_period,
-    )
 
 
 def run_fig9_scale(
@@ -94,12 +54,22 @@ def run_fig9_scale(
     if n_rack_periods < 2:
         raise ConfigurationError("n_rack_periods must be >= 2 (pre and post cut)")
     sc = fleet_scenario(scenario)
-    fleet = _build_fleet(sc, backend, n_servers, seed)
-    full_budget_w = fleet.budget_w
-    half = n_rack_periods // 2
-    fleet.run(half)
-    fleet.set_budget(full_budget_w * (1.0 - CURTAIL_FRACTION))
-    fleet.run(n_rack_periods - half)
+    if not sc.soa_capable:
+        raise ConfigurationError(
+            f"fleet scenario {scenario!r} is reference-only; "
+            "fig9-scale needs a spec-built (static-load) scenario"
+        )
+    # Seeds re-randomize every server's noise, not the topology.
+    fleet = sc.build_fleet(backend, n_servers, seed)
+    try:
+        full_budget_w = fleet.budget_w
+        half = n_rack_periods // 2
+        fleet.run(half)
+        fleet.set_budget(full_budget_w * (1.0 - CURTAIL_FRACTION))
+        fleet.run(n_rack_periods - half)
+        powers = np.asarray(fleet.backend.last_powers())
+    finally:
+        fleet.backend.close()  # fast-parallel owns worker processes + shm
 
     result = ExperimentResult(
         "fig9-scale",
@@ -129,7 +99,6 @@ def run_fig9_scale(
     )
     result.add("Budget hierarchy:\n" + fleet.tree.describe())
 
-    powers = np.asarray(fleet.backend.last_powers())
     post = trace["total_power_w"][half:]
     post_budget = full_budget_w * (1.0 - CURTAIL_FRACTION)
     result.data["trace"] = trace
@@ -137,7 +106,4 @@ def run_fig9_scale(
     result.data["backend"] = backend
     result.data["final_powers_w"] = powers
     result.data["post_cut_tracking_err_w"] = float(np.mean(post - post_budget))
-    closer = getattr(fleet.backend, "close", None)
-    if callable(closer):  # fast-parallel owns worker processes + shm
-        closer()
     return result

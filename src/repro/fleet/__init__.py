@@ -9,7 +9,15 @@ Layers, bottom up:
   :class:`FleetBackend` (:class:`ReferenceBackend` = N scalar engines);
 * :mod:`repro.fleet.soa` — :class:`SoaFleetBackend`: the fleet as
   structure-of-arrays numpy state, bit-identical to the reference
-  (``tests/fleet/test_differential.py``).
+  (``tests/fleet/test_differential.py``);
+* :mod:`repro.fleet.scenarios` — registered recipes, and
+  ``FleetScenario.build_fleet(backend, n_servers, seed)``, the one place a
+  scenario becomes a :class:`FleetSimulation`. A seed shifts every
+  server's RNG streams and leaves the topology alone; reference-only
+  scenarios refuse a nonzero seed.
+
+A rack of hand-built servers is ``FleetSimulation(ReferenceBackend(
+[FleetServer(...), ...]), budget_w, allocator)``.
 """
 
 from .engine import FleetBackend, FleetServer, FleetSimulation, ReferenceBackend

@@ -1,6 +1,7 @@
 """Fleet co-simulation: many capped servers under one budget hierarchy.
 
-The rack loop of ``cluster/rack.py`` generalized along two axes:
+A rack of CapGPU servers under one reallocated budget, generalized along
+two axes:
 
 * **scale** — the per-server stepping is delegated to a *backend*. The
   :class:`ReferenceBackend` keeps one scalar
@@ -11,10 +12,12 @@ The rack loop of ``cluster/rack.py`` generalized along two axes:
   (``tests/fleet/test_differential.py``).
 * **hierarchy** — budgets descend a :class:`~repro.fleet.tree.BudgetTree`
   (datacenter → row → rack → server) instead of one flat allocator call;
-  a flat tree reproduces the old ``RackSimulation`` exactly.
+  a flat tree reproduces the original rack loop exactly.
 
-``RackSimulation`` itself lives on in ``cluster/rack.py`` as a thin shim
-over a one-rack :class:`FleetSimulation`.
+A single rack is ``FleetSimulation(ReferenceBackend([FleetServer(...),
+...]), budget_w, allocator)``. Registered scenarios are built by
+:meth:`repro.fleet.scenarios.FleetScenario.build_fleet`, the one place a
+scenario, backend name, size and seed become a :class:`FleetSimulation`.
 """
 
 from __future__ import annotations
@@ -130,6 +133,9 @@ class FleetBackend:
     def server_trace(self, index: int) -> Trace:
         """Per-period trace of server ``index`` (engine channel layout)."""
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release worker processes and shared memory (none by default)."""
 
 
 class ReferenceBackend(FleetBackend):

@@ -3,18 +3,24 @@
 Each scenario is a *recipe* — scale-parametric and backend-agnostic — so the
 same registry entry drives the differential suite (scalar rack loop vs
 fleet engine vs structure-of-arrays backend on identical inputs), the
-benchmark harness (64/256/1024-server builds), and ``repro run --fleet``.
+benchmark harness (64/256/1024-server builds), ``repro run --fleet`` and
+the digital twins of :mod:`repro.service`. :meth:`FleetScenario.build_fleet`
+is the one place a scenario, backend name, size and seed become a
+:class:`~repro.fleet.engine.FleetSimulation`.
 
 Scenarios with a ``spec_fn`` are *homogeneous static-load* fleets: every
 server is described by a :class:`~repro.fleet.soa.SoaServerSpec`, so they
-build on either backend and must produce bit-identical traces on both.
-Scenarios with a ``server_fn`` build arbitrary scalar servers (full paper
-inference pipelines, fault injection) and run on the reference backend
-only.
+build on either backend and must produce bit-identical traces on both. A
+seed shifts every server's RNG seed by 100,000 per unit, which
+re-randomizes the noise and leaves the topology alone. Scenarios with a
+``server_fn`` build arbitrary scalar servers (full paper inference
+pipelines, fault injection), run on the reference backend only and refuse
+a nonzero seed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Callable
 
 from ..cluster.allocator import (
@@ -24,7 +30,7 @@ from ..cluster.allocator import (
     ProportionalDemandAllocator,
 )
 from ..errors import ConfigurationError
-from .engine import FleetServer, FleetSimulation, ReferenceBackend
+from .engine import FleetBackend, FleetServer, FleetSimulation, ReferenceBackend
 from .soa import SoaFleetBackend, SoaServerSpec, build_scalar_twin
 from .tree import BudgetTree
 
@@ -86,18 +92,27 @@ class FleetScenario:
     def soa_capable(self) -> bool:
         return self.spec_fn is not None
 
-    def specs(self, n_servers: int | None = None) -> list[SoaServerSpec]:
+    def specs(self, n_servers: int | None = None, seed: int = 0) -> list[SoaServerSpec]:
+        """Server specs, every RNG seed shifted by 100,000 per unit of
+        ``seed`` (a seed re-randomizes noise, not topology)."""
         if self.spec_fn is None:
             raise ConfigurationError(f"scenario {self.name!r} is reference-only")
         n = self.n_servers if n_servers is None else n_servers
-        return [self.spec_fn(i) for i in range(n)]
+        return [
+            dataclasses.replace(spec, seed=spec.seed + 100_000 * seed)
+            for spec in map(self.spec_fn, range(n))
+        ]
 
-    def servers(self, n_servers: int | None = None) -> list[FleetServer]:
-        """Fresh scalar servers (the reference/rack construction)."""
+    def servers(self, n_servers: int | None = None, seed: int = 0) -> list[FleetServer]:
+        """Fresh scalar servers (the reference construction)."""
         n = self.n_servers if n_servers is None else n_servers
-        if self.server_fn is not None:
-            return [self.server_fn(i) for i in range(n)]
-        return [build_scalar_twin(s) for s in self.specs(n)]
+        if self.server_fn is None:
+            return [build_scalar_twin(s) for s in self.specs(n, seed)]
+        if seed != 0:
+            raise ConfigurationError(
+                f"scenario {self.name!r} is reference-only and does not take a seed"
+            )
+        return [self.server_fn(i) for i in range(n)]
 
     def budget_w(self, n_servers: int | None = None) -> float:
         n = self.n_servers if n_servers is None else n_servers
@@ -108,21 +123,24 @@ class FleetScenario:
         return self.alloc_fn(n)
 
     def build_fleet(
-        self, backend: str = "reference", n_servers: int | None = None
+        self, backend: str = "reference", n_servers: int | None = None, seed: int = 0
     ) -> FleetSimulation:
+        """The scenario's fleet on ``backend`` (``reference``, ``soa``,
+        ``fast`` or ``fast-parallel``); ``seed`` as in :meth:`specs`."""
         n = self.n_servers if n_servers is None else n_servers
-        if backend == "soa":
-            be = SoaFleetBackend(self.specs(n))
-        elif backend == "reference":
-            be = ReferenceBackend(self.servers(n))
+        be: FleetBackend
+        if backend == "reference":
+            be = ReferenceBackend(self.servers(n, seed))
+        elif backend == "soa":
+            be = SoaFleetBackend(self.specs(n, seed))
         elif backend == "fast":
             from ..fast.fleet import FastFleetBackend
 
-            be = FastFleetBackend(self.specs(n))
+            be = FastFleetBackend(self.specs(n, seed))
         elif backend == "fast-parallel":
             from ..fast.parallel import ParallelFleetBackend
 
-            be = ParallelFleetBackend(self.specs(n))
+            be = ParallelFleetBackend(self.specs(n, seed))
         else:
             raise ConfigurationError(
                 f"unknown fleet backend {backend!r}; have reference, soa, "
@@ -132,22 +150,6 @@ class FleetScenario:
             be,
             budget_w=self.budget_w(n),
             allocation=self.allocation(n),
-            periods_per_rack_period=self.periods_per_rack_period,
-        )
-
-    def build_rack(self, n_servers: int | None = None):
-        """The legacy ``RackSimulation`` construction of this scenario."""
-        from ..cluster.rack import RackSimulation
-
-        allocation = self.allocation(n_servers)
-        if isinstance(allocation, BudgetTree):
-            raise ConfigurationError(
-                f"scenario {self.name!r} uses a budget tree; racks are flat"
-            )
-        return RackSimulation(
-            self.servers(n_servers),
-            allocation,
-            rack_budget_w=self.budget_w(n_servers),
             periods_per_rack_period=self.periods_per_rack_period,
         )
 

@@ -109,6 +109,25 @@ def _equiv_dict(report) -> dict:
     }
 
 
+def _build_twins(
+    scenario: str,
+    n_servers: int,
+    periods_per_window: int,
+    seed: int,
+    shadows: tuple[ShadowSpec, ...],
+) -> tuple[TwinRunner, dict[str, TwinRunner]]:
+    """The deployed twin and one shadow twin per spec, keyed by spec name."""
+    deployed = TwinRunner(
+        scenario, n_servers, periods_per_window=periods_per_window, seed=seed
+    )
+    return deployed, {
+        spec.name: TwinRunner.for_shadow(
+            spec, scenario, n_servers, periods_per_window, seed
+        )
+        for spec in shadows
+    }
+
+
 def _shadow_answer(shadow: TwinRunner, deployed: TwinRunner) -> dict:
     """One shadow's cumulative answer: summary + deltas vs deployed."""
     answer = shadow.summary()
@@ -147,22 +166,13 @@ class DigitalTwinService:
     ):
         self.config = config
         self.journal = journal
-        self.deployed = TwinRunner(
+        self.deployed, self.shadows = _build_twins(
             config.scenario,
             config.n_servers,
-            periods_per_window=config.periods_per_window,
-            seed=config.seed,
+            config.periods_per_window,
+            config.seed,
+            config.shadows,
         )
-        self.shadows: dict[str, TwinRunner] = {
-            spec.name: TwinRunner.for_shadow(
-                spec,
-                config.scenario,
-                config.n_servers,
-                config.periods_per_window,
-                config.seed,
-            )
-            for spec in config.shadows
-        }
         self.cache = ResultCache()
         self.records: list[dict] = []
         self.chain = GENESIS_CHAIN
@@ -204,14 +214,9 @@ class DigitalTwinService:
             self.deployed.advance(len(entries))
             for shadow in self.shadows.values():
                 shadow.advance(len(entries))
-        # The bit-identity cross-check: the rebuilt twins must reproduce
-        # the journaled digests exactly, whichever path restored them.
-        last = entries[-1]
-        self._check_digest("deployed", self.deployed.digest(), last["deployed"]["digest"])
-        for name, shadow in self.shadows.items():
-            recorded = last["shadows"].get(name)
-            if recorded is not None:
-                self._check_digest(f"shadow {name!r}", shadow.digest(), recorded["digest"])
+        # Whichever path restored the twins, they must reproduce the
+        # journaled digests exactly.
+        self._check_twin_digests(entries[-1])
         for entry in entries:
             self._file_in_cache(entry)
         return len(entries)
@@ -239,15 +244,25 @@ class DigitalTwinService:
             shadow.windows_advanced = n_windows
         return True
 
-    @staticmethod
-    def _check_digest(label: str, rebuilt: str, journaled: str) -> None:
-        if rebuilt != journaled:
-            raise CheckpointError(
-                f"resume is not bit-identical: rebuilt {label} digest "
-                f"{rebuilt[:12]}… does not match the journaled "
-                f"{journaled[:12]}… (code or scenario changed since the "
-                "service started)"
-            )
+    def _check_twin_digests(self, last: dict) -> None:
+        """The bit-identity cross-check: every rebuilt twin must reproduce
+        the digest ``last`` (the newest committed record) holds for it."""
+        twins = [("deployed", self.deployed, last["deployed"])]
+        twins += [
+            (f"shadow {name!r}", shadow, last["shadows"].get(name))
+            for name, shadow in self.shadows.items()
+        ]
+        for label, twin, recorded in twins:
+            if recorded is None:
+                continue
+            rebuilt, journaled = twin.digest(), recorded["digest"]
+            if rebuilt != journaled:
+                raise CheckpointError(
+                    f"resume is not bit-identical: rebuilt {label} digest "
+                    f"{rebuilt[:12]}… does not match the journaled "
+                    f"{journaled[:12]}… (code or scenario changed since the "
+                    "service started)"
+                )
 
     # -- feeding -----------------------------------------------------------
 
@@ -368,37 +383,19 @@ class DigitalTwinService:
         for shadow in self.shadows.values():
             shadow.close()
         config = self.config
-        self.deployed = TwinRunner(
+        self.deployed, self.shadows = _build_twins(
             config.scenario,
             config.n_servers,
-            periods_per_window=config.periods_per_window,
-            seed=config.seed,
+            config.periods_per_window,
+            config.seed,
+            config.shadows,
         )
-        self.shadows = {
-            spec.name: TwinRunner.for_shadow(
-                spec,
-                config.scenario,
-                config.n_servers,
-                config.periods_per_window,
-                config.seed,
-            )
-            for spec in config.shadows
-        }
         n_windows = len(self.records)
         if n_windows:
             self.deployed.advance(n_windows)
             for shadow in self.shadows.values():
                 shadow.advance(n_windows)
-            last = self.records[-1]
-            self._check_digest(
-                "deployed", self.deployed.digest(), last["deployed"]["digest"]
-            )
-            for name, shadow in self.shadows.items():
-                recorded = last["shadows"].get(name)
-                if recorded is not None:
-                    self._check_digest(
-                        f"shadow {name!r}", shadow.digest(), recorded["digest"]
-                    )
+            self._check_twin_digests(self.records[-1])
         self.rebuilds_total += 1
 
     def _file_in_cache(self, entry: dict) -> None:
@@ -572,15 +569,9 @@ def offline_whatif(
     """
     if n_windows < 1:
         raise ConfigurationError("n_windows must be >= 1")
-    deployed = TwinRunner(
-        scenario, n_servers, periods_per_window=periods_per_window, seed=seed
+    deployed, twins = _build_twins(
+        scenario, n_servers, periods_per_window, seed, shadows
     )
-    twins = {
-        spec.name: TwinRunner.for_shadow(
-            spec, scenario, n_servers, periods_per_window, seed
-        )
-        for spec in shadows
-    }
     try:
         deployed.advance(n_windows)
         for twin in twins.values():

@@ -19,16 +19,13 @@ engine is still inside the trust envelope of ``docs/simulator.md``.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
 
 from ..equiv import EquivReport, compare_traces
 from ..errors import ConfigurationError
-from ..fleet.engine import FleetSimulation, ReferenceBackend
-from ..fleet.scenarios import FleetScenario, fleet_scenario
-from ..fleet.soa import SoaFleetBackend
+from ..fleet.scenarios import fleet_scenario
 from ..runner import canonical_json
 
 __all__ = [
@@ -148,15 +145,6 @@ def topology_hash(
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
-def _seeded_scenario_specs(sc: FleetScenario, n_servers: int, seed: int) -> list:
-    """Spec list with per-server RNG streams shifted by the service seed
-    (the fig9-scale convention: seeds re-randomize noise, not topology)."""
-    return [
-        dataclasses.replace(s, seed=s.seed + 100_000 * seed)
-        for s in sc.specs(n_servers)
-    ]
-
-
 class TwinRunner:
     """One cumulative twin: a fleet simulation advanced window by window."""
 
@@ -176,38 +164,18 @@ class TwinRunner:
         if engine not in ("reference", "fast"):
             raise ConfigurationError(f"unknown twin engine {engine!r}")
         sc = fleet_scenario(scenario)
-        if not sc.soa_capable and engine == "fast":
-            raise ConfigurationError(
-                f"scenario {scenario!r} is reference-only; the fast engine "
-                "needs a spec-built (static-load) scenario"
-            )
-        if sc.soa_capable:
-            specs = _seeded_scenario_specs(sc, n_servers, seed)
-            if engine == "fast":
-                from ..fast.fleet import FastFleetBackend
-
-                backend: object = FastFleetBackend(specs)
-            else:
-                backend = SoaFleetBackend(specs)
-        else:
-            if seed != 0:
-                raise ConfigurationError(
-                    f"scenario {scenario!r} is reference-only and does not "
-                    "take a twin seed"
-                )
-            backend = ReferenceBackend(sc.servers(n_servers))
+        if engine == "fast":
+            backend = "fast"
+        else:  # the SoA backend is bit-identical to the scalar reference
+            backend = "soa" if sc.soa_capable else "reference"
         self.scenario = scenario
         self.n_servers = int(n_servers)
         self.periods_per_window = int(periods_per_window)
         self.seed = int(seed)
         self.budget_frac = float(budget_frac)
         self.engine = engine
-        self.fleet = FleetSimulation(
-            backend,
-            budget_w=sc.budget_w(n_servers) * budget_frac,
-            allocation=sc.allocation(n_servers),
-            periods_per_rack_period=sc.periods_per_rack_period,
-        )
+        self.fleet = sc.build_fleet(backend, n_servers, seed)
+        self.fleet.set_budget(self.fleet.budget_w * budget_frac)
         self.windows_advanced = 0
 
     @classmethod
@@ -295,6 +263,4 @@ class TwinRunner:
         )
 
     def close(self) -> None:
-        closer = getattr(self.fleet.backend, "close", None)
-        if callable(closer):  # fast-parallel owns worker processes + shm
-            closer()
+        self.fleet.backend.close()

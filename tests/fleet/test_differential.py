@@ -3,10 +3,12 @@
 Three layers of bit-for-bit equivalence, each pinned by canonical digests
 (timing channels excluded, everything else exact):
 
-1. the ``RackSimulation`` shim vs a literal transcription of the pre-shim
-   rack loop (the *oracle* below) — the refactor changed no floats;
+1. a flat one-rack fleet on the reference backend vs a literal
+   transcription of the original rack loop (the *oracle* below) — the
+   fleet engine changed no floats;
 2. the structure-of-arrays backend vs the reference backend (N scalar
-   engines) on every SoA-capable registered scenario;
+   engines) on every SoA-capable registered scenario, at seed 0 and at a
+   nonzero seed;
 3. ``snapshot()``/``restore()`` mid-run vs an uninterrupted run.
 
 Fault-injection scenarios run under the ``chaos`` marker; the 256-server
@@ -19,7 +21,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.cluster.rack import RackSimulation
 from repro.fleet import FleetSimulation, ReferenceBackend, SoaFleetBackend
 from repro.fleet.scenarios import FLEET_SCENARIOS, fleet_scenario
 from repro.runner import _canonicalize, canonical_json
@@ -42,16 +43,16 @@ def fleet_digests(fleet: FleetSimulation) -> list[str]:
     return out
 
 
-# -- the oracle: the pre-shim RackSimulation.run loop, verbatim --------------
+# -- the oracle: the original rack loop, verbatim ----------------------------
 
 
 class OracleRack:
-    """Literal transcription of the original ``RackSimulation`` (before it
-    became a shim over :class:`FleetSimulation`), kept here as the fixed
-    point the refactor is differenced against. Operates on the same
-    ``FleetServer`` construction but steps and records with the old loop's
-    own code — including its interleaved set-budget-then-run order and its
-    old trace layout (no ``alloc_ms`` channel)."""
+    """Literal transcription of the original rack simulation (before the
+    fleet engine replaced it), kept here as the fixed point the engine is
+    differenced against. Operates on the same ``FleetServer`` construction
+    but steps and records with the old loop's own code — including its
+    interleaved set-budget-then-run order and its old trace layout (no
+    ``alloc_ms`` channel)."""
 
     def __init__(self, servers, allocator, rack_budget_w, periods_per_rack_period):
         self.servers = list(servers)
@@ -125,53 +126,70 @@ def run_oracle(scenario, n_rounds):
     return oracle
 
 
-# -- layer 1: the shim reproduces the old rack loop --------------------------
+# -- layer 1: the reference backend reproduces the old rack loop ------------
 
 
+def assert_rack_matches_oracle(scenario, n_rounds):
+    """The scenario's flat fleet on the reference backend, digest for digest
+    against the oracle; returns the fleet."""
+    oracle = run_oracle(scenario, n_rounds)
+    rack = scenario.build_fleet("reference")
+    rack.run(n_rounds)
+    assert digest(rack.trace) == digest(oracle.trace)
+    for i, server in enumerate(oracle.servers):
+        assert digest(rack.backend.server_trace(i)) == digest(server.sim.trace)
+    return rack
+
+
+# The test names keep their original ids; "rack shim" now means the flat
+# one-rack fleet on the reference backend.
 @pytest.mark.parametrize(
     "name", ["fair-static", "demand-static", "priority-static", "paper-rack"]
 )
 def test_rack_shim_matches_oracle(name):
-    scenario = fleet_scenario(name)
-    n_rounds = 3
-    oracle = run_oracle(scenario, n_rounds)
-    shim = scenario.build_rack()
-    shim.run(n_rounds)
-    assert digest(shim.trace) == digest(oracle.trace)
-    for i, server in enumerate(oracle.servers):
-        assert digest(shim.backend.server_trace(i)) == digest(server.sim.trace)
+    assert_rack_matches_oracle(fleet_scenario(name), n_rounds=3)
 
 
 @pytest.mark.chaos
 def test_chaos_rack_shim_matches_oracle():
-    """Fault-injected servers (meter dropout + freeze) through the shim."""
-    scenario = fleet_scenario("chaos-rack")
-    n_rounds = 5  # long enough that both fault windows open and close
-    oracle = run_oracle(scenario, n_rounds)
-    shim = scenario.build_rack()
-    shim.run(n_rounds)
-    assert digest(shim.trace) == digest(oracle.trace)
-    for i, server in enumerate(oracle.servers):
-        assert digest(shim.backend.server_trace(i)) == digest(server.sim.trace)
+    """Fault-injected servers (meter dropout + freeze) on the reference
+    backend."""
+    # Long enough that both fault windows open and close.
+    rack = assert_rack_matches_oracle(fleet_scenario("chaos-rack"), n_rounds=5)
     # The faults actually fired: some periods lost all meter samples.
-    fresh = shim.backend.server_trace(0)["fresh_samples"]
+    fresh = rack.backend.server_trace(0)["fresh_samples"]
     assert (fresh == 0.0).any()
 
 
 # -- layer 2: the SoA backend reproduces the reference backend ---------------
 
 
-@pytest.mark.parametrize("name", SOA_SCENARIOS)
-def test_soa_matches_reference(name):
+def soa_and_reference(name, seed=0):
+    """The scenario on both backends (at most 8 servers), each run through
+    a mid-run budget change."""
     scenario = fleet_scenario(name)
     n = min(scenario.n_servers, 8)
-    ref = scenario.build_fleet("reference", n_servers=n)
-    soa = scenario.build_fleet("soa", n_servers=n)
-    for fleet in (ref, soa):
+    fleets = [scenario.build_fleet(be, n, seed) for be in ("reference", "soa")]
+    for fleet in fleets:
         fleet.run(2)
         fleet.set_budget(fleet.budget_w * 0.97)  # mid-run budget change
         fleet.run(2)
+    return fleets
+
+
+@pytest.mark.parametrize("name", SOA_SCENARIOS)
+def test_soa_matches_reference(name):
+    ref, soa = soa_and_reference(name)
     assert fleet_digests(ref) == fleet_digests(soa)
+
+
+@pytest.mark.parametrize("name", SOA_SCENARIOS)
+def test_seeded_soa_matches_reference(name):
+    """A seed shifts every server's RNG streams alike on both backends."""
+    ref, soa = soa_and_reference(name, seed=3)
+    assert fleet_digests(ref) == fleet_digests(soa)
+    unseeded, _ = soa_and_reference(name)
+    assert digest(ref.trace) != digest(unseeded.trace)
 
 
 def test_soa_trace_channels_match_engine_layout():

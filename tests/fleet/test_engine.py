@@ -1,5 +1,7 @@
 """Fleet engine construction, budgeting and stepping edge cases."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,9 +53,21 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             fleet_scenario("paper-rack").specs()
 
-    def test_tree_scenario_refuses_rack_build(self):
-        with pytest.raises(ConfigurationError):
-            fleet_scenario("tree-static").build_rack(4)
+    def test_reference_only_scenario_refuses_a_seed(self):
+        scenario = fleet_scenario("paper-rack")
+        with pytest.raises(ConfigurationError, match="does not take a seed"):
+            scenario.build_fleet("reference", n_servers=1, seed=3)
+
+    def test_seed_shifts_noise_not_topology(self):
+        scenario = fleet_scenario("demand-static")
+        base, seeded = scenario.specs(4), scenario.specs(4, seed=3)
+        assert [s.seed + 300_000 for s in base] == [s.seed for s in seeded]
+        assert [dataclasses.replace(s, seed=0) for s in base] == [
+            dataclasses.replace(s, seed=0) for s in seeded
+        ]
+        fleet = scenario.build_fleet("soa", n_servers=4, seed=3)
+        assert fleet.backend.names == [s.name for s in base]
+        assert fleet.budget_w == scenario.budget_w(4)
 
     def test_unknown_scenario_name(self):
         with pytest.raises(ConfigurationError):
@@ -99,6 +113,15 @@ class TestStepping:
         fleet = small_fleet()
         with pytest.raises(ConfigurationError):
             fleet.set_budget(0.0)
+
+    @pytest.mark.parametrize("backend", ["reference", "soa", "fast"])
+    def test_backend_close_is_a_noop_without_workers(self, backend):
+        fleet = small_fleet(backend=backend)
+        fleet.run(1)
+        fleet.backend.close()
+        fleet.backend.close()
+        fleet.run(1)
+        assert len(fleet.trace) == 2
 
     def test_total_power_is_sum_of_server_powers(self):
         fleet = small_fleet(n=3)

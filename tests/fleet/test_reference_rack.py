@@ -1,17 +1,14 @@
-"""Rack simulation over multiple CapGPU servers."""
+"""A rack of CapGPU servers: a flat fleet on the reference backend."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    FairShareAllocator,
-    ProportionalDemandAllocator,
-    RackServer,
-    RackSimulation,
-)
+from repro.cluster import FairShareAllocator, ProportionalDemandAllocator
 from repro.core import build_capgpu
 from repro.errors import ConfigurationError
 from repro.experiments.common import identified_model
+from repro.fleet import FleetServer, FleetSimulation, ReferenceBackend
+from repro.fleet.scenarios import fleet_scenario
 from repro.sim import paper_scenario
 
 
@@ -20,11 +17,11 @@ def make_rack(n=2, budget=1800.0, allocator=None, periods=3, seed0=70):
     for i in range(n):
         sim = paper_scenario(seed=seed0 + i, set_point_w=budget / n)
         ctl = build_capgpu(sim, model=identified_model(0))
-        servers.append(RackServer(f"srv{i}", sim, ctl))
-    return RackSimulation(
-        servers,
-        allocator or FairShareAllocator(),
-        rack_budget_w=budget,
+        servers.append(FleetServer(f"srv{i}", sim, ctl))
+    return FleetSimulation(
+        ReferenceBackend(servers),
+        budget_w=budget,
+        allocation=allocator or FairShareAllocator(),
         periods_per_rack_period=periods,
     )
 
@@ -32,14 +29,13 @@ def make_rack(n=2, budget=1800.0, allocator=None, periods=3, seed0=70):
 class TestConstruction:
     def test_requires_servers(self):
         with pytest.raises(ConfigurationError):
-            RackSimulation([], FairShareAllocator(), 1000.0)
+            ReferenceBackend([])
 
     def test_duplicate_names_rejected(self):
         sim = paper_scenario(seed=70)
         ctl = build_capgpu(sim, model=identified_model(0))
-        servers = [RackServer("x", sim, ctl), RackServer("x", sim, ctl)]
         with pytest.raises(ConfigurationError):
-            RackSimulation(servers, FairShareAllocator(), 1000.0)
+            ReferenceBackend([FleetServer("x", sim, ctl), FleetServer("x", sim, ctl)])
 
     def test_budget_validated(self):
         with pytest.raises(ConfigurationError):
@@ -88,17 +84,13 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             rack.run(0)
 
-    def test_rack_budget_property_delegates_to_set_budget(self):
-        """The shim keeps ``rack_budget_w`` as a live alias of the fleet
-        budget: assigning it mid-run changes the next allocation round."""
-        from repro.fleet.scenarios import fleet_scenario
-
-        rack = fleet_scenario("fair-static").build_rack(2)
+    def test_set_budget_changes_the_next_allocation_round(self):
+        """A budget set mid-run is the one the next round divides."""
+        rack = fleet_scenario("fair-static").build_fleet("reference", n_servers=2)
         rack.run(1)
-        assert rack.rack_budget_w == rack.budget_w
-        rack.rack_budget_w = 1400.0
+        rack.set_budget(1400.0)
         assert rack.budget_w == 1400.0
         rack.run(1)
         assert rack.trace.last("budget_w") == 1400.0
         with pytest.raises(ConfigurationError):
-            rack.rack_budget_w = -1.0
+            rack.set_budget(-1.0)

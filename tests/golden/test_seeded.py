@@ -36,17 +36,3 @@ def computed() -> dict[str, str]:
 def test_seeded_digest(computed, name):
     assert computed[name] == SEEDED_DIGESTS[name]
 
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        "twin/no-such-fleet@3/deployed",
-        "twin/tree-static@3",
-        "twin/tree-static/deployed",
-        "experiment/no-such-figure@3",
-        "experiment/fig3@x",
-        "fleet/tree-static@3",
-    ],
-)
-def test_malformed_seeded_names_are_refused(name):
-    assert digests.seeded(name) is None

@@ -2,7 +2,7 @@
 
 Full example runs take up to a minute each; the suite checks that every
 script compiles, imports cleanly, and exposes ``main`` — and executes the
-fastest one end-to-end as a canary.
+two fastest end-to-end as canaries.
 """
 
 import importlib.util
@@ -49,3 +49,13 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "best subset" in out
         assert "ground-truth drivers recovered" in out
+
+    def test_rack_capping_example_runs(self, capsys):
+        module = load(EXAMPLES_DIR / "rack_capping.py")
+        trace = module.main().trace
+        assert "Curtailment: rack budget -> 2500 W" in capsys.readouterr().out
+        # The last round tracks the curtailed budget ...
+        assert trace["total_power_w"][-1] == pytest.approx(2500.0, abs=60.0)
+        # ... and the lightly loaded srv2 reports the lowest demand.
+        demands = [trace[f"demand_srv{i}"][-1] for i in range(3)]
+        assert min(demands) == demands[2] < min(demands[:2])

@@ -69,20 +69,21 @@ class TestEventsWithController:
 
 class TestPriorityRackEndToEnd:
     def test_high_priority_server_keeps_budget_under_curtailment(self):
-        from repro.cluster import PriorityAllocator, RackServer, RackSimulation
+        from repro.cluster import PriorityAllocator
         from repro.core import build_capgpu
+        from repro.fleet import FleetServer, FleetSimulation, ReferenceBackend
 
         model = identified_model(0)
         servers = []
         for i, prio in enumerate((2, 0)):
             sim = paper_scenario(seed=110 + i, set_point_w=1000.0)
             servers.append(
-                RackServer(f"srv{i}", sim, build_capgpu(sim, model=model),
-                           priority=prio)
+                FleetServer(f"srv{i}", sim, build_capgpu(sim, model=model),
+                            priority=prio)
             )
-        rack = RackSimulation(
-            servers, PriorityAllocator(), rack_budget_w=2100.0,
-            periods_per_rack_period=4,
+        rack = FleetSimulation(
+            ReferenceBackend(servers), budget_w=2100.0,
+            allocation=PriorityAllocator(), periods_per_rack_period=4,
         )
         rack.run(5)
         trace = rack.trace

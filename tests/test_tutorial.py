@@ -15,9 +15,10 @@ from repro.analysis import (
     sparkline,
     steady_state_stats,
 )
-from repro.cluster import ProportionalDemandAllocator, RackServer, RackSimulation
+from repro.cluster import ProportionalDemandAllocator
 from repro.core import build_capgpu, check_set_point, group_gains, stable_gain_range
 from repro.control import GpuOnlyController
+from repro.fleet import FleetServer, FleetSimulation, ReferenceBackend
 from repro.hardware import TESLA_V100_16GB, CpuModel, CpuSpec, FanModel, GpuModel, GpuServer
 from repro.rng import spawn
 from repro.sim import EventSchedule, ServerSimulation, SetPointChange, SloChange
@@ -123,11 +124,11 @@ class TestTutorialFlow:
         for i in range(2):
             sim = build_sim(210 + i, set_point_w=700.0)
             nodes.append(
-                RackServer(f"srv{i}", sim, build_capgpu(sim, model=identified.fit))
+                FleetServer(f"srv{i}", sim, build_capgpu(sim, model=identified.fit))
             )
-        rack = RackSimulation(
-            nodes, ProportionalDemandAllocator(), rack_budget_w=1400.0,
-            periods_per_rack_period=3,
+        rack = FleetSimulation(
+            ReferenceBackend(nodes), budget_w=1400.0,
+            allocation=ProportionalDemandAllocator(), periods_per_rack_period=3,
         )
         rack.run(4)
         rack.set_budget(1300.0)
