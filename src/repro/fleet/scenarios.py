@@ -96,7 +96,10 @@ class FleetScenario:
         """Server specs, every RNG seed shifted by 100,000 per unit of
         ``seed`` (a seed re-randomizes noise, not topology)."""
         if self.spec_fn is None:
-            raise ConfigurationError(f"scenario {self.name!r} is reference-only")
+            raise ConfigurationError(
+                f"scenario {self.name!r} is reference-only; the soa and fast "
+                "backends need a spec-built (static-load) scenario"
+            )
         n = self.n_servers if n_servers is None else n_servers
         return [
             dataclasses.replace(spec, seed=spec.seed + 100_000 * seed)
