@@ -33,15 +33,18 @@ Entries:
     ``cap=80,cap=120``) fed a seeded event stream: the chain head replayed
     from its WAL and the deployed twin's digest at the last window.
 
-The child also accepts two seeded names. Neither is a corpus entry; tests
-that pin a digest at another seed use them:
+The child also accepts three names that are not corpus entries; tests that
+pin a digest outside the corpus use them:
 
 ``experiment/<id>@<seed>``
     a registered experiment at any seed;
 ``twin/<scenario>@<seed>/<twin>``
     the digest one ``repro twin --scenario <scenario> --servers 8
     --windows 6 --seed <seed>`` reports for ``<twin>``: ``deployed`` or a
-    shadow spec such as ``cap=60+engine=fast``.
+    shadow spec such as ``cap=60+engine=fast``;
+``fleet/<scenario>/fast``, ``fleet/<scenario>/fast-parallel``
+    a scenario that supports the SoA backend, run as its corpus entry is,
+    on a fast-engine backend.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ CHAOS_ENTRIES = frozenset(
 )
 
 FLEET_MAX_SERVERS = 8
+FAST_BACKENDS = ("fast", "fast-parallel")
 SERVICE_SCENARIO = "tree-static"
 SERVICE_SERVERS = 8
 SERVICE_SHADOWS = "cap=80,cap=120"
@@ -106,11 +110,14 @@ def fleet_digest(scenario_name: str, backend: str) -> str:
     fleet = scenario.build_fleet(
         backend, n_servers=min(scenario.n_servers, FLEET_MAX_SERVERS)
     )
-    fleet.run(2)
-    fleet.set_budget(fleet.budget_w * 0.97)
-    fleet.run(2)
-    traces = [fleet.trace]
-    traces += [fleet.backend.server_trace(i) for i in range(fleet.n_servers)]
+    try:
+        fleet.run(2)
+        fleet.set_budget(fleet.budget_w * 0.97)
+        fleet.run(2)
+        traces = [fleet.trace]
+        traces += [fleet.backend.server_trace(i) for i in range(fleet.n_servers)]
+    finally:
+        fleet.backend.close()
     return sha256(canonical_json(traces))
 
 
@@ -209,12 +216,18 @@ def entries() -> dict[str, Callable[[], str]]:
     return table
 
 
-def seeded(name: str) -> Callable[[], str] | None:
-    """The thunk for a seeded name, or None if ``name`` is not one."""
+def extra(name: str) -> Callable[[], str] | None:
+    """The thunk for a name outside the corpus, or None if ``name`` is not one."""
     from repro.experiments import experiment_ids
     from repro.fleet.scenarios import FLEET_SCENARIOS
 
     kind, _, rest = name.partition("/")
+    if kind == "fleet":
+        scenario, _, backend = rest.partition("/")
+        recipe = FLEET_SCENARIOS.get(scenario)
+        if backend in FAST_BACKENDS and recipe is not None and recipe.soa_capable:
+            return functools.partial(fleet_digest, scenario, backend)
+        return None
     twin = ""
     if kind == "twin":
         rest, _, twin = rest.partition("/")
@@ -318,7 +331,7 @@ def main(argv: Sequence[str]) -> int:
         return 2
     table = entries()
     for name in argv:
-        thunk = seeded(name)
+        thunk = extra(name)
         if name not in table and thunk is not None:
             table[name] = thunk
     unknown = sorted(set(argv) - set(table))
