@@ -23,7 +23,9 @@ import pytest
 
 from repro.fleet import FleetSimulation, ReferenceBackend, SoaFleetBackend
 from repro.fleet.scenarios import FLEET_SCENARIOS, fleet_scenario
+from repro.fleet.soa import build_scalar_twin
 from repro.runner import _canonicalize, canonical_json
+from repro.sim.engine import SimConfig
 from repro.telemetry.trace import Trace
 
 SOA_SCENARIOS = sorted(n for n, s in FLEET_SCENARIOS.items() if s.soa_capable)
@@ -190,6 +192,38 @@ def test_seeded_soa_matches_reference(name):
     assert fleet_digests(ref) == fleet_digests(soa)
     unseeded, _ = soa_and_reference(name)
     assert digest(ref.trace) != digest(unseeded.trace)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SimConfig(meter_interval_s=0.5), SimConfig(control_period_s=10.0)],
+    ids=lambda config: f"{config.samples_per_period}-samples",
+)
+@pytest.mark.parametrize("name", ["fair-static", "demand-static"])
+def test_soa_matches_reference_with_long_meter_windows(name, config):
+    """From 8 samples per period on, numpy's window mean is a pairwise sum,
+    not a left-to-right one; the SoA must still take the engine's mean."""
+    scenario = fleet_scenario(name)
+    n = min(scenario.n_servers, 8)
+    specs = scenario.specs(n)
+    fleets = [
+        FleetSimulation(
+            backend,
+            budget_w=scenario.budget_w(n),
+            allocation=scenario.allocation(n),
+            periods_per_rack_period=scenario.periods_per_rack_period,
+        )
+        for backend in (
+            ReferenceBackend([build_scalar_twin(s, config=config) for s in specs]),
+            SoaFleetBackend(specs, config=config),
+        )
+    ]
+    for fleet in fleets:
+        fleet.run(2)
+        fleet.set_budget(fleet.budget_w * 0.97)
+        fleet.run(2)
+    ref, soa = fleets
+    assert fleet_digests(ref) == fleet_digests(soa)
 
 
 def test_soa_trace_channels_match_engine_layout():
