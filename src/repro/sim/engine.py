@@ -57,7 +57,13 @@ from ..workloads.feature_selection import FeatureSelectionWorkload
 from ..workloads.pipeline import GpuWorkload
 from .events import EventSchedule
 
-__all__ = ["SimConfig", "ServerSimulation", "PeriodRecord", "POWER_SOURCES"]
+__all__ = [
+    "SimConfig",
+    "ServerSimulation",
+    "PeriodRecord",
+    "POWER_SOURCES",
+    "trace_channels",
+]
 
 #: Fraction of one core consumed by the controller process (Section 5 pins
 #: one core for the controller; it is mostly idle between invocations).
@@ -72,6 +78,22 @@ _POWER_SOURCE_CODE = {name: float(i) for i, name in enumerate(POWER_SOURCES)}
 #: frozen (only while sensor noise is configured — a noiseless meter
 #: legitimately repeats itself). Two control periods' worth by default.
 _FREEZE_DETECT_SAMPLES = 8
+
+
+def trace_channels(n_channels: int, n_gpus: int) -> list[str]:
+    """The per-server trace layout, shared by the scalar engine and the SoA
+    fleet backend."""
+    chans = [
+        "time_s", "period", "set_point_w", "power_w",
+        "power_max_w", "power_min_w", "ctl_ms",
+        "true_power_w", "power_src", "fresh_samples", "safe_mode",
+    ]
+    for i in range(n_channels):
+        chans += [f"f_tgt_{i}", f"f_app_{i}", f"util_{i}", f"tput_{i}", f"tput_norm_{i}"]
+    for g in range(n_gpus):
+        chans += [f"lat_mean_g{g}", f"lat_p95_g{g}", f"slo_g{g}", f"slo_miss_g{g}"]
+    chans += ["cpu_lat_s", "cpu_tput"]
+    return chans
 
 
 @dataclass(frozen=True)
@@ -251,7 +273,9 @@ class ServerSimulation:
 
         self.time_s = 0.0
         self.period_index = 0
-        self.trace = Trace(self._trace_channels(), capacity=1024)
+        self.trace = Trace(
+            trace_channels(server.n_channels, server.n_gpus), capacity=1024
+        )
         self.last_control_ms = 0.0
 
         # Monitor feeding: per-tick counts are summed into plain Python
@@ -269,21 +293,6 @@ class ServerSimulation:
         self._preproc_workers = sum(
             p.config.n_workers for p in self.pipelines if p is not None
         )
-
-    # -- trace layout -----------------------------------------------------------
-
-    def _trace_channels(self) -> list[str]:
-        chans = [
-            "time_s", "period", "set_point_w", "power_w",
-            "power_max_w", "power_min_w", "ctl_ms",
-            "true_power_w", "power_src", "fresh_samples", "safe_mode",
-        ]
-        for i in range(self.server.n_channels):
-            chans += [f"f_tgt_{i}", f"f_app_{i}", f"util_{i}", f"tput_{i}", f"tput_norm_{i}"]
-        for g in range(self.server.n_gpus):
-            chans += [f"lat_mean_g{g}", f"lat_p95_g{g}", f"slo_g{g}", f"slo_miss_g{g}"]
-        chans += ["cpu_lat_s", "cpu_tput"]
-        return chans
 
     # -- SLO management -----------------------------------------------------------
 
