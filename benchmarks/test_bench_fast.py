@@ -33,9 +33,10 @@ def _file_fleet_metrics(benchmark, fleet):
 def test_bench_fast_mpc_fleet_speedup(benchmark):
     """Two MPC-heavy budget-reallocation rounds at 16 servers, fast vs
     reference, measured head-to-head. The reference pays one SLSQP solve
-    per server per control period; the fast engine pays one pre-solved
-    matmul per fused tick plus the active-set projection for the rows a
-    bound pins. The acceptance bar is >= 5x."""
+    per server per control period; the fast engine pays one batched
+    pre-solved matmul per control period for the whole fleet plus the
+    active-set projection for the rows a bound pins. The acceptance bar
+    is >= 5x."""
     scenario = fleet_scenario("mpc-static")
 
     def measured():

@@ -70,8 +70,8 @@ class ToleranceSpec:
 #: The fast engine's semantic contract. Calibrated on the registered
 #: static-load scenarios (mpc-static is the stressor: the analytic
 #: projected MPC solve vs the reference SLSQP iteration is the largest
-#: relaxation in the fast engine; the fused reductions alone are below
-#: float rounding at these channel counts).
+#: relaxation in the fast engine; a fixed-step bank reproduces the SoA
+#: bit for bit on these scenarios).
 TOLERANCES: tuple[ToleranceSpec, ...] = (
     ToleranceSpec(
         metric="power_err_w",

@@ -1,12 +1,15 @@
 """Opt-in relaxed-semantics fast engine.
 
-Everything under ``repro.fast`` is allowed to change float semantics —
-fused/batched reductions across servers, MPC factorization reuse across
-servers and ticks, pre-solved cap-projection caches, and shared-memory
-parallel fleet stepping. The reference engine stays untouched as ground
-truth; ``repro.equiv`` verifies the fast engine against it with explicit
-statistical tolerances (distributions of power error, cap violations and
-settle times), never with digests.
+Everything under ``repro.fast`` is allowed to change float semantics, and
+it relaxes two things: pre-solved MPC gains (one factorization reused
+across servers and ticks, plus pre-solved cap-projection caches) and
+vectorized controller banks that step a whole fleet's controllers as one
+array program. The fleet's tick is the SoA backend's, shared unchanged;
+``ParallelFleetBackend`` shards such a fleet over worker processes. The
+reference engine stays untouched as ground truth; ``repro.equiv`` verifies
+the fast engine against it with explicit statistical tolerances
+(distributions of power error, cap violations and settle times), never
+with digests.
 
 Opt in per process with ``REPRO_ENGINE=fast`` / ``--engine fast`` or
 programmatically with :func:`repro.enginemode.set_engine`; the switch lives
@@ -14,9 +17,10 @@ at the kernel layer in :mod:`repro.enginemode` so the engine layer can
 consult it without an upward import.
 
 This package is *sanctioned* for the REP2xx float-semantics lint rules
-(see ``LintConfig.sanctioned_rules``): unordered reductions are its whole
-point, and the sanction mechanism keeps that legal here without blanket
-suppressions or weakening the rules anywhere else.
+(see ``LintConfig.sanctioned_rules``): the batched pre-solved MPC in
+``repro.fast.mpc`` reorders float operations by design, and the sanction
+mechanism keeps that legal here without blanket suppressions or weakening
+the rules anywhere else.
 """
 
 from __future__ import annotations

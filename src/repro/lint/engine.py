@@ -45,8 +45,8 @@ def _default_known_units() -> dict[str, str]:
 
 
 def _default_sanctioned_modules() -> dict[str, tuple[str, ...]]:
-    # The fast engine is *allowed* to relax float semantics (fused and
-    # batched reductions, factorization reuse); its correctness gate is
+    # The fast engine is *allowed* to relax float semantics (pre-solved,
+    # batched MPC gains with factorization reuse); its correctness gate is
     # the statistical-equivalence suite (repro.equiv), not bitwise rules.
     return {"repro.fast": ("REP2",)}
 

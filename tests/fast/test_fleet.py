@@ -52,12 +52,11 @@ class TestValidation:
 
 
 class TestAgainstSoa:
-    """The fused loops against the bit-identical SoA transcription.
+    """The vectorized controller banks against the SoA's controller objects.
 
-    Fixed-step fleets agree exactly in practice (every fused reduction here
-    runs over fewer than eight elements, below numpy's pairwise-sum
-    threshold); the contract is only closeness, so the assertion leaves
-    float-rounding headroom.
+    Both backends step the same period body, so fixed-step fleets agree
+    exactly in practice; the contract is only closeness, so the assertion
+    leaves float-rounding headroom.
     """
 
     @pytest.mark.parametrize("controller", ["fixed-step", "safe-fixed-step"])

@@ -1,8 +1,12 @@
 """ParallelFleetBackend: shared-memory workers vs the single-process fast path.
 
 The parallel backend is a *distribution* of FastFleetBackend over worker
-processes — same arrays, same RNG streams — so its outputs must equal the
-single-process fast backend exactly, not just statistically.
+processes — same arrays, same RNG streams. Fixed-step fleets equal the
+single-process fast backend exactly (``tests/golden/test_fast_backends.py``
+pins their digests). MPC fleets are exact only where the batched MPC bank
+rounds alike for a worker's slice and the whole fleet, as on the fleet
+below; in general they agree within the ``repro.equiv`` tolerances, which
+``test_parallel_backend_equivalence`` gates.
 """
 
 import dataclasses
