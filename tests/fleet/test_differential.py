@@ -226,6 +226,41 @@ def test_soa_matches_reference_with_long_meter_windows(name, config):
     assert fleet_digests(ref) == fleet_digests(soa)
 
 
+def test_soa_matches_reference_across_rapl_wrap():
+    """Counters started 100 J below the RAPL range wrap in the first
+    period; the SoA counter and its window anchors must follow the scalar
+    ``SimulatedRapl`` through the wrap bit for bit."""
+    scenario = fleet_scenario("fair-static")
+    n = 4
+    specs = scenario.specs(n)
+    ref_backend = ReferenceBackend([build_scalar_twin(s) for s in specs])
+    soa_backend = SoaFleetBackend(specs)
+    fleets = [
+        FleetSimulation(
+            backend,
+            budget_w=scenario.budget_w(n),
+            allocation=scenario.allocation(n),
+            periods_per_rack_period=scenario.periods_per_rack_period,
+        )
+        for backend in (ref_backend, soa_backend)
+    ]
+    start_uj = 262_143_328_850 - 1e8
+    soa_backend._rapl_energy[:] = start_uj
+    for server in ref_backend.servers:
+        server.sim.rapl._energy_uj = start_uj
+    for _ in range(2):
+        for fleet in fleets:
+            fleet.run(1)
+        ref_energy = np.array([s.sim.rapl._energy_uj for s in ref_backend.servers])
+        ref_anchor = np.array(
+            [s.sim._rapl_energy_anchor for s in ref_backend.servers], dtype=np.int64
+        )
+        assert soa_backend._rapl_energy.tobytes() == ref_energy.tobytes()
+        assert soa_backend._rapl_anchor_uj.tobytes() == ref_anchor.tobytes()
+        assert (soa_backend._rapl_energy < start_uj).all()  # it wrapped
+    assert fleet_digests(fleets[0]) == fleet_digests(fleets[1])
+
+
 def test_soa_trace_channels_match_engine_layout():
     scenario = fleet_scenario("fair-static")
     ref = scenario.build_fleet("reference", n_servers=2)
