@@ -3,36 +3,65 @@
 Extends the within-server vectorization of ``sim/engine.py`` across the
 *server* axis. Device frequencies, utilizations, delta-sigma error state,
 meter/RAPL accumulators, monitor windows and degradation-ladder state all
-live in ``(n_servers, n_channels)`` / ``(n_servers,)`` float64 arrays, and
-the 40-tick control period advances the whole fleet with elementwise
-expressions instead of N scalar ``ServerSimulation`` loops.
+live in ``(n_servers, n_channels)`` / ``(n_servers,)`` float64 arrays. The
+control period advances one meter window (10 ticks by default) at a time,
+each with one numpy program over a ``(ticks, n_servers, channels)`` block,
+instead of N scalar ``ServerSimulation`` loops. A window runs in three
+steps:
+
+1. the delta-sigma actuator steps tick by tick on ``(n, channels)`` arrays
+   until a tick leaves its error state unchanged: the target holds for the
+   whole period, so every later tick repeats that one exactly and the
+   rollout copies its level forward (fixed-step controllers command
+   on-grid targets, so their error stays zero and one tick is computed);
+2. the workload law, utilization, CPU preprocessing load and per-channel
+   plant power are evaluated once over the window's block;
+3. only the true recurrences run per tick: the fractional-batch carry and
+   the AR(1) wall noise.
 
 **Bit-for-bit contract.** Every expression below is a transcription of the
 scalar hot path with the same float operations in the same order, so a SoA
 fleet reproduces N scalar engines exactly (``tests/fleet/test_differential``
 pins this):
 
+* an elementwise IEEE operation gives the same bits on a block as on one
+  column, so the block steps keep each expression's operation order;
 * noise streams are per-server :class:`~repro.rng.BlockSampler` prefetches —
   batch draws consume each generator stream identically to scalar draws;
 * sums that the scalar engine accumulates left-to-right (per-channel plant
   power, GPU board sum, preproc cores, demand pressure) run over fewer than
-  8 elements (the constructor refuses more than 6 GPUs) and are accumulated
-  column by column; the meter-window mean is numpy's row mean of the
-  ``(n_servers, samples)`` window, which equals the engine's 1-D
+  8 elements (the constructor refuses more than 6 GPUs) and are explicit
+  left-to-right adds of slices; the meter-window mean is numpy's row mean
+  of the ``(n_servers, samples)`` window, which equals the engine's 1-D
   ``np.mean`` at every window length (numpy's pairwise reduce matches
   sequential addition only below 8 elements);
+* every running sum over ticks (meter energy, applied-frequency sum,
+  throughput and utilization accumulators, true-power sum, RAPL energy)
+  starts from its carried value and adds the ticks in order with
+  ``np.add.accumulate`` along the tick axis; ``ndarray.sum(axis=0)``
+  promises no order and is never used for them;
+* the RAPL counter's wrapping ``%=`` is the identity below its range, so
+  the accumulated partial sums are the counter; only a window in which a
+  partial sum reaches the range replays the per-tick ``+=``/``%=``;
+* the scalar clocks (``time_s``, the monitor and meter window clocks) keep
+  their per-tick Python float adds, and the meter's emission ticks, read
+  off that clock, are where the windows split;
 * scalar quirks are preserved: the ``(busy*dt)/dt`` utilization round trip,
   the NVML watts→milliwatts→watts round trip, RAPL's truncate-to-int read,
   banker's rounding in the meter quantizer, and the shared-epsilon meter
   emission test.
 
+At period boundaries every state array holds what a tick-by-tick loop
+would hold, under fixed attribute names and shapes, so ``snapshot()`` and
+``restore()`` need no translation.
+
 Controllers are *not* vectorized: the backend keeps N real controller
 objects and feeds each a per-server :class:`ControlObservation` once per
 control period. Controller arithmetic is bit-identical by construction (it
-runs the very same code), controller state (round-robin cursors, safe-mode
-latches) needs no translation, and at one call per server per 4-simulated-
-seconds the cost is irrelevant next to the tick loop it replaces. That step
-is one method, ``_controller_targets``; the fast engine's
+runs the very same code) and controller state (round-robin cursors,
+safe-mode latches) needs no translation; the price is one Python call per
+server per period, about half of a period at 1024 servers. That step is
+one method, ``_controller_targets``; the fast engine's
 :class:`~repro.fast.fleet.FastFleetBackend` overrides only it, with
 vectorized controller banks, and shares the rest of the period.
 
@@ -205,6 +234,26 @@ class PeriodReadings:
     f_applied: np.ndarray  # tick-averaged applied frequency
 
 
+def _running_sums(carry: np.ndarray, ticks: np.ndarray) -> np.ndarray:
+    """``carry``, ``carry + ticks[0]``, ``(carry + ticks[0]) + ticks[1]``,
+    ...: a carried accumulator's per-tick ``+=``, stacked along axis 0.
+
+    ``np.add.accumulate`` adds along its axis in order, so every partial
+    sum has the bits of the tick loop's; ``ndarray.sum(axis=0)`` promises
+    no order and must not replace it.
+    """
+    return np.add.accumulate(np.concatenate((carry[np.newaxis], ticks)), axis=0)
+
+
+def _sum_channels(block: np.ndarray) -> np.ndarray:
+    """Left-to-right sum over the last axis, one slice at a time (the
+    scalar engine's sequential adds)."""
+    total = block[..., 0]
+    for c in range(1, block.shape[-1]):
+        total = total + block[..., c]
+    return total
+
+
 def _server_states(
     last: np.ndarray | None,
     chan_index: dict[str, int],
@@ -342,7 +391,12 @@ class SoaFleetBackend(FleetBackend):
             [[gs.demand_rate_s * s.demand_scale for gs in gpu_specs] for s in specs],
             dtype=np.float64,
         )
-        self._n_workers = [PipelineConfig(n_workers=1).n_workers] * n_gpus
+        # The static-load law's per-GPU constants, one entry per GPU channel.
+        self._law_base = np.array([gs.base_rate_s for gs in gpu_specs])
+        self._law_slope = np.array([gs.rate_per_mhz for gs in gpu_specs])
+        self._law_fref = np.array([gs.f_ref_mhz for gs in gpu_specs])
+        self._law_preproc = np.array([gs.preproc_scale for gs in gpu_specs])
+        self._workers = np.full(n_gpus, float(PipelineConfig(n_workers=1).n_workers))
 
         # -- mutable fleet state, shaped (N, C) / (N, G) / (N,) -------------
         self._f = np.tile(self._f_min, (n, 1))
@@ -449,126 +503,159 @@ class SoaFleetBackend(FleetBackend):
     def _run_one_period(self) -> None:
         cfg = self.config
         n = len(self.specs)
-        n_chan = self.n_channels
-        n_gpus = self.n_gpus
         dt = cfg.dt_s
         ticks = cfg.ticks_per_period
         spp = cfg.samples_per_period
 
         # Per-period noise prefetch: one block per server per stream,
         # consuming each generator exactly as the scalar components would.
-        wall = np.array([s.take(ticks) for s in self._wall_noise])
+        wall = np.stack([s.take(ticks) for s in self._wall_noise], axis=1)
         meter_noise = np.array([s.take(spp) for s in self._meter_noise])
 
-        f = self._f
-        u = self._u
-        f_min = self._f_min
-        f_max = self._f_max
-        pitch = self._pitch
-        k_max = self._k_max
-        err_bound = self._err_bound
-        idle = self._pm_idle
-        dyn = self._pm_dyn
-        flo = self._pm_floor
-        omf = self._pm_omf
-        quad = self._pm_quad
-        fref = self._pm_fref
-        samples = np.empty((n, spp), dtype=np.float64)
-        emit = 0
-
+        # The scalar clocks keep their per-tick float adds; the ticks at
+        # which the meter's window clock fires split the period into windows
+        # (shared clock: the fleet ticks in lockstep).
+        windows: list[tuple[int, int, float | None]] = []
+        start = 0
         for t in range(ticks):
-            # Actuator: promote pending commands at the first tick after a
-            # set, then the delta-sigma rollout (scalar order per channel).
-            if self._pending is not None:
-                self._tgt = self._pending
-                self._pending = None
-            desired = self._tgt + self._err
-            clipped = np.minimum(np.maximum(desired, f_min), f_max)
-            k = np.floor((clipped - f_min) / pitch)
-            np.minimum(k, k_max, out=k)
-            below = f_min + pitch * k
-            above = f_min + pitch * (k + 1.0)
-            level = np.where((clipped - below) <= (above - clipped), below, above)
-            e = desired - level
-            self._err = np.minimum(np.maximum(e, -err_bound), err_bound)
-            f[:] = level
-            self._applied_sum += level
-            self._applied_ticks += 1
-
-            # Workloads (GPU channel order, like the engine's pipeline loop).
-            preproc_cores: np.ndarray | None = None
-            for g in range(n_gpus):
-                c = 1 + g
-                spec = self.gpu_specs[g]
-                fc = f[:, c]
-                capacity = spec.base_rate_s + spec.rate_per_mhz * (fc - spec.f_ref_mhz)
-                demand = self._demand[:, g]
-                busy = np.minimum(demand / capacity, 1.0)
-                rate = np.minimum(demand, capacity)
-                frac = self._frac_batches[:, g]
-                frac += rate * dt
-                done = np.floor(frac)
-                frac -= done
-                busy_s = busy * dt
-                u[:, c] = busy_s / dt  # the engine's (busy*dt)/dt round trip
-                self._tput_acc[:, c] += done
-                self._util_acc[:, c] += busy_s
-                contrib = self._n_workers[g] * np.minimum(
-                    busy * spec.preproc_scale, 1.0
-                )
-                preproc_cores = (
-                    contrib if preproc_cores is None else preproc_cores + contrib
-                )
-
-            # CPU channel: preproc workers + the controller's own core.
-            busy_cores = preproc_cores + _CONTROLLER_CORE_UTIL
-            cpu_util = np.minimum(busy_cores / self._n_cores, 1.0)
-            u[:, 0] = cpu_util
-            self._util_acc[:, 0] += cpu_util * dt
             self._acc_elapsed += dt
-
-            # Plant: AR(1) wall disturbance, then per-channel power summed
-            # left-to-right (sequential adds match the scalar fast path).
-            self._noise_state = self._noise_rho * self._noise_state + wall[:, t]
-            total: np.ndarray | None = None
-            cpu_p: np.ndarray | None = None
-            for c in range(n_chan):
-                fc = f[:, c]
-                df = fc - fref[c]
-                pw = idle[c] + dyn[c] * fc * (flo[c] + omf[c] * u[:, c]) + quad[c] * df * df
-                total = pw if total is None else total + pw
-                if c == 0:
-                    cpu_p = pw
-            p_true = self._base_power_w + total
-            p_true = p_true + self._noise_state
-
-            # Meter integration (shared scalar window clock: lockstep fleet).
-            self._m_accum_j += p_true * dt
+            self.time_s += dt
             self._m_accum_t += dt
             if self._m_accum_t + 1e-9 >= cfg.meter_interval_s:
-                mean_w = self._m_accum_j / self._m_accum_t
-                if cfg.meter_noise_sigma_w > 0:
-                    mean_w = mean_w + meter_noise[:, emit]
-                samples[:, emit] = (
-                    np.rint(mean_w / cfg.meter_resolution_w) * cfg.meter_resolution_w
-                )
-                emit += 1
-                self._m_accum_j[:] = 0.0
+                windows.append((start, t + 1, self._m_accum_t))
                 self._m_accum_t = 0.0
+                start = t + 1
+        if start < ticks:
+            windows.append((start, ticks, None))
 
-            # RAPL integration (float microjoule counter, wrapping).
-            self._rapl_energy += (cpu_p * dt) * 1e6
-            self._rapl_energy %= self._rapl_range_uj
-
-            self._true_power_sum += p_true
-            self._true_power_ticks += 1
-            self.time_s += dt
+        samples = np.empty((n, spp), dtype=np.float64)
+        emit = 0
+        for lo, hi, window_s in windows:
+            self._step_window(wall[lo:hi])
+            if window_s is None:
+                continue
+            mean_w = self._m_accum_j / window_s
+            if cfg.meter_noise_sigma_w > 0:
+                mean_w = mean_w + meter_noise[:, emit]
+            samples[:, emit] = (
+                np.rint(mean_w / cfg.meter_resolution_w) * cfg.meter_resolution_w
+            )
+            emit += 1
+            self._m_accum_j = np.zeros(n, dtype=np.float64)
 
         if emit != spp:
             raise ConfigurationError(
                 f"meter emitted {emit} samples per period, expected {spp}"
             )
         self._observe_and_control(samples)
+
+    def _step_window(self, wall: np.ndarray) -> None:
+        """Advance the fleet ``len(wall)`` ticks inside one meter window;
+        ``wall`` holds the ticks' ``(ticks, n)`` wall-noise innovations."""
+        dt = self.config.dt_s
+        f = self._actuate(len(wall))
+
+        # Workloads (GPU channel order, like the engine's pipeline loop),
+        # over the whole (ticks, n, channels) block.
+        capacity = self._law_base + self._law_slope * (f[:, :, 1:] - self._law_fref)
+        busy = np.minimum(self._demand / capacity, 1.0)
+        rate = np.minimum(self._demand, capacity)
+        busy_s = busy * dt
+        contrib = self._workers * np.minimum(busy * self._law_preproc, 1.0)
+        # CPU channel: preproc workers + the controller's own core.
+        busy_cores = _sum_channels(contrib) + _CONTROLLER_CORE_UTIL
+        cpu_util = np.minimum(busy_cores / self._n_cores, 1.0)
+        u = np.empty_like(f)
+        u[:, :, 0] = cpu_util
+        u[:, :, 1:] = busy_s / dt  # the engine's (busy*dt)/dt round trip
+        util_s = np.empty_like(f)
+        util_s[:, :, 0] = cpu_util * dt
+        util_s[:, :, 1:] = busy_s
+
+        # Plant: per-channel power summed left-to-right (sequential adds
+        # match the scalar fast path).
+        df = f - self._pm_fref
+        pw = (
+            self._pm_idle
+            + self._pm_dyn * f * (self._pm_floor + self._pm_omf * u)
+            + self._pm_quad * df * df
+        )
+        p_base = self._base_power_w + _sum_channels(pw)
+
+        # The true recurrences, tick by tick: fractional-batch carry and
+        # the AR(1) wall disturbance.
+        rate_dt = rate * dt
+        done = np.empty_like(rate_dt)
+        frac = self._frac_batches
+        noise = np.empty_like(wall)
+        state = self._noise_state
+        for j in range(len(wall)):
+            frac += rate_dt[j]
+            np.floor(frac, out=done[j])
+            frac -= done[j]
+            state = self._noise_rho * state + wall[j]
+            noise[j] = state
+        self._noise_state = state
+        p_true = p_base + noise
+
+        self._tput_acc[:, 1:] = _running_sums(self._tput_acc[:, 1:], done)[-1]
+        self._util_acc = _running_sums(self._util_acc, util_s)[-1]
+        self._m_accum_j = _running_sums(self._m_accum_j, p_true * dt)[-1]
+        self._true_power_sum = _running_sums(self._true_power_sum, p_true)[-1]
+        self._true_power_ticks += len(wall)
+        self._integrate_rapl((pw[:, :, 0] * dt) * 1e6)
+        self._f[:] = f[-1]
+        self._u[:] = u[-1]
+
+    def _actuate(self, ticks: int) -> np.ndarray:
+        """The delta-sigma actuator's applied levels for the next ``ticks``
+        ticks, ``(ticks, n, channels)``.
+
+        Pending commands are promoted first (the one-tick latency). The
+        target then holds for the rest of the period, so a tick that leaves
+        the error state unchanged repeats exactly on every later tick: the
+        rollout stops there and copies its level forward.
+        """
+        if self._pending is not None:
+            self._tgt = self._pending
+            self._pending = None
+        f_min = self._f_min
+        pitch = self._pitch
+        tgt = self._tgt
+        err = self._err
+        levels = np.empty((ticks,) + tgt.shape, dtype=np.float64)
+        for j in range(ticks):
+            desired = tgt + err
+            clipped = np.minimum(np.maximum(desired, f_min), self._f_max)
+            k = np.floor((clipped - f_min) / pitch)
+            np.minimum(k, self._k_max, out=k)
+            below = f_min + pitch * k
+            above = f_min + pitch * (k + 1.0)
+            level = np.where((clipped - below) <= (above - clipped), below, above)
+            levels[j] = level
+            e = desired - level
+            new_err = np.minimum(np.maximum(e, -self._err_bound), self._err_bound)
+            if (new_err == err).all():
+                levels[j + 1 :] = level
+                break
+            err = new_err
+        self._err = new_err
+        self._applied_sum = _running_sums(self._applied_sum, levels)[-1]
+        self._applied_ticks += ticks
+        return levels
+
+    def _integrate_rapl(self, energy_uj: np.ndarray) -> None:
+        """Add per-tick ``(ticks, n)`` energies to the wrapping float
+        microjoule counter. ``%=`` is the identity on ``[0, range)``, so
+        the running sums are the counter unless one leaves that range;
+        only then are the per-tick ``+=``/``%=`` replayed."""
+        sums = _running_sums(self._rapl_energy, energy_uj)[1:]
+        if ((sums >= 0.0) & (sums < self._rapl_range_uj)).all():
+            self._rapl_energy = sums[-1]
+            return
+        for tick_uj in energy_uj:
+            self._rapl_energy += tick_uj
+            self._rapl_energy %= self._rapl_range_uj
 
     def _filter_samples(
         self, samples: np.ndarray
