@@ -224,8 +224,7 @@ class ParallelFleetBackend(FleetBackend):
         return self._rows[:, self._chan_index["power_w"]].tolist()
 
     def server_trace(self, index: int) -> Trace:
-        if index < 0 or index >= len(self.specs):
-            raise ConfigurationError(f"server index {index} out of range")
+        self._check_server_index(index)
         for w, (lo, hi) in enumerate(self._slices):
             if lo <= index < hi:
                 conn = self._conns[w]

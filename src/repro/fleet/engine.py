@@ -134,6 +134,13 @@ class FleetBackend:
         """Per-period trace of server ``index`` (engine channel layout)."""
         raise NotImplementedError
 
+    def _check_server_index(self, index: int) -> None:
+        """Refuse an index outside ``range(n_servers)``; every
+        :meth:`server_trace` calls this first, so a negative index never
+        wraps around to a server counted from the end."""
+        if not 0 <= index < self.n_servers:
+            raise ConfigurationError(f"server index {index} out of range")
+
     def close(self) -> None:
         """Release worker processes and shared memory (none by default)."""
 
@@ -173,6 +180,7 @@ class ReferenceBackend(FleetBackend):
         return [s.sim.trace.last("power_w") for s in self.servers]
 
     def server_trace(self, index: int) -> Trace:
+        self._check_server_index(index)
         return self.servers[index].sim.trace
 
 

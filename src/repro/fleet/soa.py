@@ -468,6 +468,7 @@ class SoaFleetBackend(FleetBackend):
         return self._rows[-1][:, self._chan_index["power_w"]].tolist()
 
     def server_trace(self, index: int) -> Trace:
+        self._check_server_index(index)
         if not self._rows:
             return Trace(self._channels, capacity=1)
         return Trace.from_array(

@@ -123,6 +123,18 @@ class TestStepping:
         fleet.run(1)
         assert len(fleet.trace) == 2
 
+    @pytest.mark.parametrize("backend", ["reference", "soa", "fast", "fast-parallel"])
+    def test_server_trace_refuses_index_out_of_range(self, backend):
+        fleet = small_fleet(n=2, backend=backend)
+        try:
+            fleet.run(1)
+            assert len(fleet.backend.server_trace(1)) == fleet.periods_per_rack_period
+            for index in (-1, 2):
+                with pytest.raises(ConfigurationError, match="out of range"):
+                    fleet.backend.server_trace(index)
+        finally:
+            fleet.backend.close()
+
     def test_total_power_is_sum_of_server_powers(self):
         fleet = small_fleet(n=3)
         fleet.run(2)
