@@ -2,7 +2,7 @@
 
 :class:`FastFleetBackend` subclasses the bit-identical
 :class:`~repro.fleet.soa.SoaFleetBackend` and steps its period body
-unchanged: the same tick, meter filter, degradation ladder and trace
+unchanged: the same window step, meter filter, degradation ladder and trace
 rows. It overrides one method, the controller step
 (``_controller_targets``), and relaxes two things there:
 
