@@ -5,11 +5,12 @@ Extends the within-server vectorization of ``sim/engine.py`` across the
 meter/RAPL accumulators, monitor windows and degradation-ladder state all
 live in ``(n_servers, n_channels)`` / ``(n_servers,)`` float64 arrays. The
 control period advances one meter window (10 ticks by default) at a time,
-each with one numpy program over a ``(ticks, n_servers, channels)`` block,
-instead of N scalar ``ServerSimulation`` loops. A window runs in three
-steps:
+each with one numpy program over a ``(channels, ticks, n_servers)`` block,
+instead of N scalar ``ServerSimulation`` loops. Servers are the innermost
+axis, so each channel's window is one contiguous run. A window runs in
+three steps:
 
-1. the delta-sigma actuator steps tick by tick on ``(n, channels)`` arrays
+1. the delta-sigma actuator steps tick by tick on ``(channels, n)`` arrays
    until a tick leaves its error state unchanged: the target holds for the
    whole period, so every later tick repeats that one exactly and the
    rollout copies its level forward (fixed-step controllers command
@@ -25,7 +26,8 @@ fleet reproduces N scalar engines exactly (``tests/fleet/test_differential``
 pins this):
 
 * an elementwise IEEE operation gives the same bits on a block as on one
-  column, so the block steps keep each expression's operation order;
+  column, and ``+`` and ``*`` commute bit for bit, so the block steps
+  (some of them in place) keep each expression's operation order;
 * noise streams are per-server :class:`~repro.rng.BlockSampler` prefetches —
   batch draws consume each generator stream identically to scalar draws;
 * sums that the scalar engine accumulates left-to-right (per-channel plant
@@ -37,12 +39,16 @@ pins this):
   sequential addition only below 8 elements);
 * every running sum over ticks (meter energy, applied-frequency sum,
   throughput and utilization accumulators, true-power sum, RAPL energy)
-  starts from its carried value and adds the ticks in order with
-  ``np.add.accumulate`` along the tick axis; ``ndarray.sum(axis=0)``
-  promises no order and is never used for them;
-* the RAPL counter's wrapping ``%=`` is the identity below its range, so
-  the accumulated partial sums are the counter; only a window in which a
-  partial sum reaches the range replays the per-tick ``+=``/``%=``;
+  starts from its carried value and adds the ticks in order. Their
+  increments share one block and one add per tick advances them all; a
+  tick-axis ``np.add.accumulate`` gives the same bits but runs one inner
+  loop per element, several times slower at fleet scale, and
+  ``ndarray.sum(axis=0)`` promises no order, so neither is used;
+* the RAPL counter's wrapping ``%=`` is the identity on ``[0, range)``.
+  Positive per-tick energies from a nonnegative carry keep every partial
+  sum between the carry and the window's total, so a total below the
+  range is the counter; only a window whose total reaches the range
+  replays the per-tick ``+=``/``%=``;
 * the scalar clocks (``time_s``, the monitor and meter window clocks) keep
   their per-tick Python float adds, and the meter's emission ticks, read
   off that clock, are where the windows split;
@@ -234,23 +240,12 @@ class PeriodReadings:
     f_applied: np.ndarray  # tick-averaged applied frequency
 
 
-def _running_sums(carry: np.ndarray, ticks: np.ndarray) -> np.ndarray:
-    """``carry``, ``carry + ticks[0]``, ``(carry + ticks[0]) + ticks[1]``,
-    ...: a carried accumulator's per-tick ``+=``, stacked along axis 0.
-
-    ``np.add.accumulate`` adds along its axis in order, so every partial
-    sum has the bits of the tick loop's; ``ndarray.sum(axis=0)`` promises
-    no order and must not replace it.
-    """
-    return np.add.accumulate(np.concatenate((carry[np.newaxis], ticks)), axis=0)
-
-
-def _sum_channels(block: np.ndarray) -> np.ndarray:
-    """Left-to-right sum over the last axis, one slice at a time (the
-    scalar engine's sequential adds)."""
-    total = block[..., 0]
-    for c in range(1, block.shape[-1]):
-        total = total + block[..., c]
+def _sum_rows(block: np.ndarray) -> np.ndarray:
+    """Left-to-right sum over axis 0, one row at a time (the scalar
+    engine's sequential adds)."""
+    total = block[0]
+    for row in block[1:]:
+        total = total + row
     return total
 
 
@@ -391,12 +386,17 @@ class SoaFleetBackend(FleetBackend):
             [[gs.demand_rate_s * s.demand_scale for gs in gpu_specs] for s in specs],
             dtype=np.float64,
         )
-        # The static-load law's per-GPU constants, one entry per GPU channel.
-        self._law_base = np.array([gs.base_rate_s for gs in gpu_specs])
-        self._law_slope = np.array([gs.rate_per_mhz for gs in gpu_specs])
-        self._law_fref = np.array([gs.f_ref_mhz for gs in gpu_specs])
-        self._law_preproc = np.array([gs.preproc_scale for gs in gpu_specs])
-        self._workers = np.full(n_gpus, float(PipelineConfig(n_workers=1).n_workers))
+
+        # The static-load law's per-GPU constants, shaped (gpus, 1, 1) to
+        # broadcast over a (gpus, ticks, n) block.
+        def per_gpu(values: list[float]) -> np.ndarray:
+            return np.array(values, dtype=np.float64).reshape(n_gpus, 1, 1)
+
+        self._law_base = per_gpu([gs.base_rate_s for gs in gpu_specs])
+        self._law_slope = per_gpu([gs.rate_per_mhz for gs in gpu_specs])
+        self._law_fref = per_gpu([gs.f_ref_mhz for gs in gpu_specs])
+        self._law_preproc = per_gpu([gs.preproc_scale for gs in gpu_specs])
+        self._workers = per_gpu([float(PipelineConfig(n_workers=1).n_workers)] * n_gpus)
 
         # -- mutable fleet state, shaped (N, C) / (N, G) / (N,) -------------
         self._f = np.tile(self._f_min, (n, 1))
@@ -510,7 +510,7 @@ class SoaFleetBackend(FleetBackend):
 
         # Per-period noise prefetch: one block per server per stream,
         # consuming each generator exactly as the scalar components would.
-        wall = np.stack([s.take(ticks) for s in self._wall_noise], axis=1)
+        wall = np.array([s.take(ticks) for s in self._wall_noise]).T
         meter_noise = np.array([s.take(spp) for s in self._meter_noise])
 
         # The scalar clocks keep their per-tick float adds; the ticks at
@@ -542,7 +542,7 @@ class SoaFleetBackend(FleetBackend):
                 np.rint(mean_w / cfg.meter_resolution_w) * cfg.meter_resolution_w
             )
             emit += 1
-            self._m_accum_j = np.zeros(n, dtype=np.float64)
+            self._m_accum_j[:] = 0.0
 
         if emit != spp:
             raise ConfigurationError(
@@ -552,65 +552,119 @@ class SoaFleetBackend(FleetBackend):
 
     def _step_window(self, wall: np.ndarray) -> None:
         """Advance the fleet ``len(wall)`` ticks inside one meter window;
-        ``wall`` holds the ticks' ``(ticks, n)`` wall-noise innovations."""
+        ``wall`` holds the ticks' ``(ticks, n)`` wall-noise innovations.
+
+        Blocks are laid out ``(channels, ticks, n)``: each channel's ticks
+        and servers are one contiguous run, and per-channel constants
+        broadcast as ``(channels, 1, 1)``. A block is updated in place once
+        its old value is not needed again, which keeps large temporaries
+        few; ``x *= c`` has the bits of ``c * x``.
+        """
         dt = self.config.dt_s
-        f = self._actuate(len(wall))
+        ticks, n = wall.shape
+        n_chan = self.n_channels
+        # The running sums' per-tick increments share one block, so one
+        # loop over the ticks adds them all. Rows: applied levels, completed
+        # batches, busy seconds per channel, meter energy, true power and
+        # RAPL energy.
+        edges = np.cumsum((n_chan, self.n_gpus, n_chan, 1, 1))
+        ticked = np.empty((edges[-1] + 1, ticks, n), dtype=np.float64)
+        f, done, busy_s, (meter_j,), (p_true,), (cpu_uj,) = np.split(ticked, edges)
+        self._actuate(f)
 
-        # Workloads (GPU channel order, like the engine's pipeline loop),
-        # over the whole (ticks, n, channels) block.
-        capacity = self._law_base + self._law_slope * (f[:, :, 1:] - self._law_fref)
-        busy = np.minimum(self._demand / capacity, 1.0)
-        rate = np.minimum(self._demand, capacity)
-        busy_s = busy * dt
-        contrib = self._workers * np.minimum(busy * self._law_preproc, 1.0)
+        # Workloads (GPU channel order, like the engine's pipeline loop).
+        demand = self._demand.T[:, None]
+        capacity = f[1:] - self._law_fref
+        capacity *= self._law_slope
+        capacity += self._law_base  # base + slope * (f - f_ref)
+        busy = demand / capacity
+        np.minimum(busy, 1.0, out=busy)
+        rate_dt = np.minimum(demand, capacity, out=capacity)
+        rate_dt *= dt
+        np.multiply(busy, dt, out=busy_s[1:])
+        contrib = busy  # workers * min(busy * preproc_scale, 1)
+        contrib *= self._law_preproc
+        np.minimum(contrib, 1.0, out=contrib)
+        contrib *= self._workers
         # CPU channel: preproc workers + the controller's own core.
-        busy_cores = _sum_channels(contrib) + _CONTROLLER_CORE_UTIL
+        busy_cores = _sum_rows(contrib) + _CONTROLLER_CORE_UTIL
         cpu_util = np.minimum(busy_cores / self._n_cores, 1.0)
+        np.multiply(cpu_util, dt, out=busy_s[0])
         u = np.empty_like(f)
-        u[:, :, 0] = cpu_util
-        u[:, :, 1:] = busy_s / dt  # the engine's (busy*dt)/dt round trip
-        util_s = np.empty_like(f)
-        util_s[:, :, 0] = cpu_util * dt
-        util_s[:, :, 1:] = busy_s
+        u[0] = cpu_util
+        np.divide(busy_s[1:], dt, out=u[1:])  # the engine's (busy*dt)/dt round trip
 
-        # Plant: per-channel power summed left-to-right (sequential adds
-        # match the scalar fast path).
-        df = f - self._pm_fref
-        pw = (
-            self._pm_idle
-            + self._pm_dyn * f * (self._pm_floor + self._pm_omf * u)
-            + self._pm_quad * df * df
-        )
-        p_base = self._base_power_w + _sum_channels(pw)
+        # Plant: idle + dyn * f * (floor + (1 - floor) * u) + quad * df * df
+        # per channel, summed left-to-right (sequential adds match the
+        # scalar fast path).
+        df = f - self._pm_fref[:, None, None]
+        load = self._pm_omf[:, None, None] * u
+        load += self._pm_floor[:, None, None]
+        pw = self._pm_dyn[:, None, None] * f
+        pw *= load
+        pw += self._pm_idle[:, None, None]
+        np.multiply(self._pm_quad[:, None, None], df, out=load)
+        load *= df
+        pw += load
+        p_base = self._base_power_w + _sum_rows(pw)
+        np.multiply(pw[0], dt, out=cpu_uj)
+        cpu_uj *= 1e6
 
         # The true recurrences, tick by tick: fractional-batch carry and
         # the AR(1) wall disturbance.
-        rate_dt = rate * dt
-        done = np.empty_like(rate_dt)
-        frac = self._frac_batches
-        noise = np.empty_like(wall)
+        frac = np.ascontiguousarray(self._frac_batches.T)
+        noise = np.empty(wall.shape, dtype=np.float64)
         state = self._noise_state
-        for j in range(len(wall)):
-            frac += rate_dt[j]
-            np.floor(frac, out=done[j])
-            frac -= done[j]
+        for j in range(ticks):
+            frac += rate_dt[:, j]
+            np.floor(frac, out=done[:, j])
+            frac -= done[:, j]
             state = self._noise_rho * state + wall[j]
             noise[j] = state
+        self._frac_batches[:] = frac.T
         self._noise_state = state
-        p_true = p_base + noise
+        np.add(p_base, noise, out=p_true)
+        np.multiply(p_true, dt, out=meter_j)
 
-        self._tput_acc[:, 1:] = _running_sums(self._tput_acc[:, 1:], done)[-1]
-        self._util_acc = _running_sums(self._util_acc, util_s)[-1]
-        self._m_accum_j = _running_sums(self._m_accum_j, p_true * dt)[-1]
-        self._true_power_sum = _running_sums(self._true_power_sum, p_true)[-1]
-        self._true_power_ticks += len(wall)
-        self._integrate_rapl((pw[:, :, 0] * dt) * 1e6)
-        self._f[:] = f[-1]
-        self._u[:] = u[-1]
+        # Running sums: each adds its ticks, in order, to its carried value.
+        sums = np.concatenate(
+            (
+                self._applied_sum.T,
+                self._tput_acc[:, 1:].T,
+                self._util_acc.T,
+                [self._m_accum_j, self._true_power_sum, self._rapl_energy],
+            )
+        )
+        for j in range(ticks):
+            sums += ticked[:, j]
+        applied, tput, util, (meter,), (true_w,), (rapl_uj,) = np.split(sums, edges)
+        self._applied_sum[:] = applied.T
+        self._applied_ticks += ticks
+        self._tput_acc[:, 1:] = tput.T
+        self._util_acc[:] = util.T
+        self._m_accum_j[:] = meter
+        self._true_power_sum[:] = true_w
+        self._true_power_ticks += ticks
+        # The RAPL counter wraps, but its %= is the identity on [0, range).
+        # Positive ticks from a nonnegative carry keep every partial sum
+        # between the carry and the total, so a total below the range means
+        # no tick wrapped; otherwise the window's per-tick +=/%= is replayed.
+        if (
+            (self._rapl_energy >= 0.0).all()
+            and (cpu_uj > 0.0).all()
+            and (rapl_uj < self._rapl_range_uj).all()
+        ):
+            self._rapl_energy[:] = rapl_uj
+        else:
+            for tick_uj in cpu_uj:
+                self._rapl_energy += tick_uj
+                self._rapl_energy %= self._rapl_range_uj
+        self._f[:] = f[:, -1].T
+        self._u[:] = u[:, -1].T
 
-    def _actuate(self, ticks: int) -> np.ndarray:
-        """The delta-sigma actuator's applied levels for the next ``ticks``
-        ticks, ``(ticks, n, channels)``.
+    def _actuate(self, levels: np.ndarray) -> None:
+        """Fill ``levels``, ``(channels, ticks, n)``, with the delta-sigma
+        actuator's applied levels for the next ticks.
 
         Pending commands are promoted first (the one-tick latency). The
         target then holds for the rest of the period, so a tick that leaves
@@ -620,43 +674,29 @@ class SoaFleetBackend(FleetBackend):
         if self._pending is not None:
             self._tgt = self._pending
             self._pending = None
-        f_min = self._f_min
-        pitch = self._pitch
-        tgt = self._tgt
-        err = self._err
-        levels = np.empty((ticks,) + tgt.shape, dtype=np.float64)
-        for j in range(ticks):
+        f_min = self._f_min[:, None]
+        f_max = self._f_max[:, None]
+        pitch = self._pitch[:, None]
+        k_max = self._k_max[:, None]
+        bound = self._err_bound[:, None]
+        tgt = np.ascontiguousarray(self._tgt.T)
+        err = np.ascontiguousarray(self._err.T)
+        for j in range(levels.shape[1]):
             desired = tgt + err
-            clipped = np.minimum(np.maximum(desired, f_min), self._f_max)
+            clipped = np.minimum(np.maximum(desired, f_min), f_max)
             k = np.floor((clipped - f_min) / pitch)
-            np.minimum(k, self._k_max, out=k)
+            np.minimum(k, k_max, out=k)
             below = f_min + pitch * k
             above = f_min + pitch * (k + 1.0)
             level = np.where((clipped - below) <= (above - clipped), below, above)
-            levels[j] = level
+            levels[:, j] = level
             e = desired - level
-            new_err = np.minimum(np.maximum(e, -self._err_bound), self._err_bound)
+            new_err = np.minimum(np.maximum(e, -bound), bound)
             if (new_err == err).all():
-                levels[j + 1 :] = level
+                levels[:, j + 1 :] = level[:, None]
                 break
             err = new_err
-        self._err = new_err
-        self._applied_sum = _running_sums(self._applied_sum, levels)[-1]
-        self._applied_ticks += ticks
-        return levels
-
-    def _integrate_rapl(self, energy_uj: np.ndarray) -> None:
-        """Add per-tick ``(ticks, n)`` energies to the wrapping float
-        microjoule counter. ``%=`` is the identity on ``[0, range)``, so
-        the running sums are the counter unless one leaves that range;
-        only then are the per-tick ``+=``/``%=`` replayed."""
-        sums = _running_sums(self._rapl_energy, energy_uj)[1:]
-        if ((sums >= 0.0) & (sums < self._rapl_range_uj)).all():
-            self._rapl_energy = sums[-1]
-            return
-        for tick_uj in energy_uj:
-            self._rapl_energy += tick_uj
-            self._rapl_energy %= self._rapl_range_uj
+        self._err = np.ascontiguousarray(new_err.T)
 
     def _filter_samples(
         self, samples: np.ndarray
