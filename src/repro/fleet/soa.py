@@ -568,8 +568,8 @@ class SoaFleetBackend(FleetBackend):
         # batches, busy seconds per channel, meter energy, true power and
         # RAPL energy.
         edges = np.cumsum((n_chan, self.n_gpus, n_chan, 1, 1))
-        ticked = np.empty((edges[-1] + 1, ticks, n), dtype=np.float64)
-        f, done, busy_s, (meter_j,), (p_true,), (cpu_uj,) = np.split(ticked, edges)
+        increments = np.empty((edges[-1] + 1, ticks, n), dtype=np.float64)
+        f, done, busy_s, (meter_j,), (p_true,), (cpu_uj,) = np.split(increments, edges)
         self._actuate(f)
 
         # Workloads (GPU channel order, like the engine's pipeline loop).
@@ -636,7 +636,7 @@ class SoaFleetBackend(FleetBackend):
             )
         )
         for j in range(ticks):
-            sums += ticked[:, j]
+            sums += increments[:, j]
         applied, tput, util, (meter,), (true_w,), (rapl_uj,) = np.split(sums, edges)
         self._applied_sum[:] = applied.T
         self._applied_ticks += ticks
