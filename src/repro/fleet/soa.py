@@ -513,36 +513,30 @@ class SoaFleetBackend(FleetBackend):
         wall = np.array([s.take(ticks) for s in self._wall_noise]).T
         meter_noise = np.array([s.take(spp) for s in self._meter_noise])
 
-        # The scalar clocks keep their per-tick float adds; the ticks at
-        # which the meter's window clock fires split the period into windows
-        # (shared clock: the fleet ticks in lockstep).
-        windows: list[tuple[int, int, float | None]] = []
+        # The scalar clocks keep their per-tick float adds. Each time the
+        # meter's window clock fires (shared clock: the fleet ticks in
+        # lockstep), the fleet steps the ticks since the last sample.
+        samples = np.empty((n, spp), dtype=np.float64)
+        emit = 0
         start = 0
         for t in range(ticks):
             self._acc_elapsed += dt
             self.time_s += dt
             self._m_accum_t += dt
             if self._m_accum_t + 1e-9 >= cfg.meter_interval_s:
-                windows.append((start, t + 1, self._m_accum_t))
-                self._m_accum_t = 0.0
+                self._step_window(wall[start : t + 1])
                 start = t + 1
+                mean_w = self._m_accum_j / self._m_accum_t
+                if cfg.meter_noise_sigma_w > 0:
+                    mean_w = mean_w + meter_noise[:, emit]
+                samples[:, emit] = (
+                    np.rint(mean_w / cfg.meter_resolution_w) * cfg.meter_resolution_w
+                )
+                emit += 1
+                self._m_accum_j[:] = 0.0
+                self._m_accum_t = 0.0
         if start < ticks:
-            windows.append((start, ticks, None))
-
-        samples = np.empty((n, spp), dtype=np.float64)
-        emit = 0
-        for lo, hi, window_s in windows:
-            self._step_window(wall[lo:hi])
-            if window_s is None:
-                continue
-            mean_w = self._m_accum_j / window_s
-            if cfg.meter_noise_sigma_w > 0:
-                mean_w = mean_w + meter_noise[:, emit]
-            samples[:, emit] = (
-                np.rint(mean_w / cfg.meter_resolution_w) * cfg.meter_resolution_w
-            )
-            emit += 1
-            self._m_accum_j[:] = 0.0
+            self._step_window(wall[start:])
 
         if emit != spp:
             raise ConfigurationError(
