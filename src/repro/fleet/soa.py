@@ -17,8 +17,8 @@ three steps:
    on-grid targets, so their error stays zero and one tick is computed);
 2. the workload law, utilization, CPU preprocessing load and per-channel
    plant power are evaluated once over the window's block;
-3. only the true recurrences run per tick: the fractional-batch carry and
-   the AR(1) wall noise.
+3. only the true recurrences run per tick: the fractional-batch carry,
+   the AR(1) wall noise and the RAPL counter's wrapping ``+=``/``%=``.
 
 **Bit-for-bit contract.** Every expression below is a transcription of the
 scalar hot path with the same float operations in the same order, so a SoA
@@ -38,17 +38,12 @@ pins this):
   ``np.mean`` at every window length (numpy's pairwise reduce matches
   sequential addition only below 8 elements);
 * every running sum over ticks (meter energy, applied-frequency sum,
-  throughput and utilization accumulators, true-power sum, RAPL energy)
-  starts from its carried value and adds the ticks in order. Their
-  increments share one block and one add per tick advances them all; a
-  tick-axis ``np.add.accumulate`` gives the same bits but runs one inner
-  loop per element, several times slower at fleet scale, and
+  throughput and utilization accumulators, true-power sum) starts from
+  its carried value and adds the ticks in order. Their increments share
+  one block and one add per tick advances them all; a tick-axis
+  ``np.add.accumulate`` gives the same bits but runs one inner loop per
+  element, several times slower at fleet scale, and
   ``ndarray.sum(axis=0)`` promises no order, so neither is used;
-* the RAPL counter's wrapping ``%=`` is the identity on ``[0, range)``.
-  Positive per-tick energies from a nonnegative carry keep every partial
-  sum between the carry and the window's total, so a total below the
-  range is the counter; only a window whose total reaches the range
-  replays the per-tick ``+=``/``%=``;
 * the scalar clocks (``time_s``, the monitor and meter window clocks) keep
   their per-tick Python float adds, and the meter's emission ticks, read
   off that clock, are where the windows split;
@@ -559,11 +554,10 @@ class SoaFleetBackend(FleetBackend):
         n_chan = self.n_channels
         # The running sums' per-tick increments share one block, so one
         # loop over the ticks adds them all. Rows: applied levels, completed
-        # batches, busy seconds per channel, meter energy, true power and
-        # RAPL energy.
-        edges = np.cumsum((n_chan, self.n_gpus, n_chan, 1, 1))
+        # batches, busy seconds per channel, meter energy and true power.
+        edges = np.cumsum((n_chan, self.n_gpus, n_chan, 1))
         increments = np.empty((edges[-1] + 1, ticks, n), dtype=np.float64)
-        f, done, busy_s, (meter_j,), (p_true,), (cpu_uj,) = np.split(increments, edges)
+        f, done, busy_s, (meter_j,), (p_true,) = np.split(increments, edges)
         self._actuate(f)
 
         # Workloads (GPU channel order, like the engine's pipeline loop).
@@ -601,20 +595,23 @@ class SoaFleetBackend(FleetBackend):
         load *= df
         pw += load
         p_base = self._base_power_w + _sum_rows(pw)
-        np.multiply(pw[0], dt, out=cpu_uj)
+        cpu_uj = pw[0] * dt
         cpu_uj *= 1e6
 
-        # The true recurrences, tick by tick: fractional-batch carry and
-        # the AR(1) wall disturbance.
+        # The true recurrences, tick by tick: fractional-batch carry, the
+        # AR(1) wall disturbance and the wrapping RAPL counter.
         frac = np.ascontiguousarray(self._frac_batches.T)
         noise = np.empty(wall.shape, dtype=np.float64)
         state = self._noise_state
+        rapl = self._rapl_energy
         for j in range(ticks):
             frac += rate_dt[:, j]
             np.floor(frac, out=done[:, j])
             frac -= done[:, j]
             state = self._noise_rho * state + wall[j]
             noise[j] = state
+            rapl += cpu_uj[j]
+            rapl %= self._rapl_range_uj
         self._frac_batches[:] = frac.T
         self._noise_state = state
         np.add(p_base, noise, out=p_true)
@@ -626,12 +623,12 @@ class SoaFleetBackend(FleetBackend):
                 self._applied_sum.T,
                 self._tput_acc[:, 1:].T,
                 self._util_acc.T,
-                [self._m_accum_j, self._true_power_sum, self._rapl_energy],
+                [self._m_accum_j, self._true_power_sum],
             )
         )
         for j in range(ticks):
             sums += increments[:, j]
-        applied, tput, util, (meter,), (true_w,), (rapl_uj,) = np.split(sums, edges)
+        applied, tput, util, (meter,), (true_w,) = np.split(sums, edges)
         self._applied_sum[:] = applied.T
         self._applied_ticks += ticks
         self._tput_acc[:, 1:] = tput.T
@@ -639,20 +636,6 @@ class SoaFleetBackend(FleetBackend):
         self._m_accum_j[:] = meter
         self._true_power_sum[:] = true_w
         self._true_power_ticks += ticks
-        # The RAPL counter wraps, but its %= is the identity on [0, range).
-        # Positive ticks from a nonnegative carry keep every partial sum
-        # between the carry and the total, so a total below the range means
-        # no tick wrapped; otherwise the window's per-tick +=/%= is replayed.
-        if (
-            (self._rapl_energy >= 0.0).all()
-            and (cpu_uj > 0.0).all()
-            and (rapl_uj < self._rapl_range_uj).all()
-        ):
-            self._rapl_energy[:] = rapl_uj
-        else:
-            for tick_uj in cpu_uj:
-                self._rapl_energy += tick_uj
-                self._rapl_energy %= self._rapl_range_uj
         self._f[:] = f[:, -1].T
         self._u[:] = u[:, -1].T
 
