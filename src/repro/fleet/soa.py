@@ -747,10 +747,7 @@ class SoaFleetBackend(FleetBackend):
                 + self._pm_quad[c] * df * df
             )
             gpu_power[:, g] = (np.maximum(raw + nvml[:, g], 0.0) * 1e3) / 1e3
-        gpu_sum: np.ndarray | None = None
-        for g in range(n_gpus):
-            col = gpu_power[:, g]
-            gpu_sum = col if gpu_sum is None else gpu_sum + col
+        gpu_sum = _sum_rows(gpu_power.T)
 
         # RAPL window power since the previous observation (frozen-counter
         # holdover included), truncating the float counter like the sysfs read.
