@@ -146,7 +146,7 @@ class ServerActuator:
         """Advance all modulators one tick; returns the applied discrete levels.
 
         The returned list may be overwritten by the next tick; the engine
-        does not read it (it reads the device bank).
+        does not read it (it reads the devices).
         """
         if self._stale_targets:
             # Promote pending commands (the one-tick latency) and refresh
@@ -166,31 +166,13 @@ class ServerActuator:
             # unrolled over channels with every float op in the modulator's
             # order — bitwise the same levels and error state. Targets are
             # already domain-clamped by set_target.
-            floor = math.floor
+            snap = self._snap_to_level
             tgt = self._tgt
             err = self._err
             bound = self._err_bound
-            f_min = self._f_min
-            f_max = self._f_max
-            pitch = self._grid_pitch
-            k_max = self._k_max
             for i in range(len(applied)):
                 desired = tgt[i] + err[i]
-                lo = f_min[i]
-                hi = f_max[i]
-                clipped = lo if desired < lo else (hi if desired > hi else desired)
-                p = pitch[i]
-                if p is None:
-                    level = self._domains[i].nearest(clipped)
-                else:
-                    k = floor((clipped - lo) / p)
-                    km = k_max[i]
-                    if k > km:
-                        k = km
-                    below = lo + p * k
-                    above = lo + p * (k + 1.0)
-                    level = below if (clipped - below) <= (above - clipped) else above
-                applied[i] = level
+                applied[i] = level = snap(desired, i)
                 e = desired - level
                 b = bound[i]
                 err[i] = -b if e < -b else (b if e > b else e)

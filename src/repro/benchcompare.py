@@ -145,7 +145,7 @@ def load_bench(path: str | Path) -> dict:
         payload = json.loads(resolved.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ExperimentError(f"bench file not found: {resolved}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ExperimentError(f"bench file {resolved} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("schema") not in (1, BENCH_SCHEMA):
         raise ExperimentError(

@@ -5,9 +5,9 @@ the controller stack (possibly a watchdog wrapping the real controller), and
 the :class:`~repro.sim.events.EventSchedule` — are captured into **one**
 tagged tree with a shared alias memo. That single-memo property is load
 bearing: the event schedule's fired-set, a controller's view of model
-arrays, and the engine's device banks must all land back on the *same*
-objects after restore, or a resumed run would silently diverge (events
-re-firing, controllers mutating copies).
+arrays, and the actuator's and sensors' references to the server's devices
+must all land back on the *same* objects after restore, or a resumed run
+would silently diverge (events re-firing, controllers mutating copies).
 
 ``capture_run_state`` also distills a human-inspectable ``summary`` —
 degradation-ladder freshness, actuator targets, safe-mode status, MPC

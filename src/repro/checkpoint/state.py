@@ -6,9 +6,9 @@ rebuild *exactly* that state inside freshly constructed objects, such that
 resuming the run produces bit-identical results. Pickling the objects
 wholesale would fail on the callables they hold (strategy factories,
 callback events) and would silently break the aliasing invariants the
-vectorized engine depends on (device state views into the server's stacked
-banks, samplers sharing their owner's generator). Instead, state is
-captured as a *tagged tree* of pure data and restored **in place**:
+engine depends on (actuators and sensors holding the server's own devices,
+samplers sharing their owner's generator). Instead, state is captured as a
+*tagged tree* of pure data and restored **in place**:
 
 * every mutable node (ndarray, list, dict, set, deque, object) is assigned
   a node id on first visit; later visits capture as ``{"__ref__": id}`` so

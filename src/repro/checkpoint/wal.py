@@ -95,7 +95,7 @@ class Journal:
             raise CheckpointError(f"no {label} manifest at {path}")
         try:
             manifest = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CheckpointError(f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(manifest, dict) or manifest.get("format") != f"repro-{label}-journal":
             raise CheckpointError(f"{path} is not a {label} manifest")
@@ -152,7 +152,7 @@ class Journal:
                 if not line.endswith(b"\n"):
                     raise ValueError("the write never reached its fsync")
                 entry = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):
                 if pos < len(lines) - 1:
                     raise CheckpointError(
                         f"{self.log_path}:{lineno}: undecodable interior WAL line — {_CORRUPT}"

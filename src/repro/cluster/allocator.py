@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BudgetShortfallWarning, ConfigurationError
+from ..units import sum_in_order
 
 __all__ = [
     "ServerPowerState",
@@ -79,7 +80,7 @@ def _validate(states: list[ServerPowerState], budget_w: float) -> list[float] | 
     """
     if not states:
         raise ConfigurationError("need at least one server state")
-    floor = sum(s.p_min_w for s in states)
+    floor = sum_in_order(s.p_min_w for s in states)
     if budget_w < floor:
         warnings.warn(BudgetShortfallWarning(budget_w, floor), stacklevel=3)
         return [s.p_min_w for s in states]
@@ -165,17 +166,17 @@ class PriorityAllocator(BudgetAllocator):
         if clamped is not None:
             return clamped
         alloc = {i: s.p_min_w for i, s in enumerate(states)}
-        surplus = budget_w - sum(alloc.values())
+        surplus = budget_w - sum_in_order(alloc.values())
         for prio in sorted({s.priority for s in states}, reverse=True):
             tier = [i for i, s in enumerate(states) if s.priority == prio]
             tier_states = [states[i] for i in tier]
-            tier_budget = sum(alloc[i] for i in tier) + surplus
+            tier_budget = sum_in_order(alloc[i] for i in tier) + surplus
             tier_alloc = _water_fill(
                 tier_states,
-                min(tier_budget, sum(s.p_max_w for s in tier_states)),
+                min(tier_budget, sum_in_order(s.p_max_w for s in tier_states)),
                 np.ones(len(tier)),
             )
-            spent = sum(tier_alloc) - sum(alloc[i] for i in tier)
+            spent = sum_in_order(tier_alloc) - sum_in_order(alloc[i] for i in tier)
             surplus -= spent
             for i, a in zip(tier, tier_alloc):
                 alloc[i] = a

@@ -16,6 +16,7 @@ from ..analysis import format_table, slo_miss_rate, steady_state_stats
 from ..control import BatchDvfsController
 from ..core import group_gains
 from ..sim import paper_scenario
+from ..units import sum_in_order
 from .common import (
     ExperimentResult,
     identified_model,
@@ -66,7 +67,7 @@ def run_batching_comparison(
             for g in range(sim.server.n_gpus)
         ]
         # Delivered images/s = batches/s x that pipeline's batch size.
-        img_rate = sum(
+        img_rate = sum_in_order(
             float(np.nanmean(trace[f"tput_{c}"][-steady:]))
             * sim.pipelines[g].batch_size
             for g, c in enumerate(sim.gpu_channels)

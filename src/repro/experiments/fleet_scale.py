@@ -21,6 +21,7 @@ import numpy as np
 from ..analysis import format_table
 from ..errors import ConfigurationError
 from ..fleet.scenarios import fleet_scenario
+from ..units import sum_in_order
 from .common import ExperimentResult
 
 __all__ = ["run_fig9_scale"]
@@ -81,7 +82,7 @@ def run_fig9_scale(
     rows = []
     for k in range(len(trace)):
         budget = float(trace["budget_w"][k])
-        allocated = float(sum(trace[f"budget_{n}"][k] for n in names))
+        allocated = float(sum_in_order(trace[f"budget_{n}"][k] for n in names))
         total = float(trace["total_power_w"][k])
         rows.append(
             [int(trace["rack_period"][k]), budget, allocated, total, total - budget]

@@ -195,10 +195,7 @@ class ParallelFleetBackend(FleetBackend):
         self._ran = True
 
     def set_budgets(self, budgets_w: list[float]) -> None:
-        if len(budgets_w) != len(self.specs):
-            raise ConfigurationError(
-                f"expected {len(self.specs)} budgets, got {len(budgets_w)}"
-            )
+        self._check_budgets(budgets_w)
         payloads = [list(budgets_w[lo:hi]) for lo, hi in self._slices]
         self._broadcast("budgets", payloads)
 

@@ -369,7 +369,7 @@ def load_network_fault_plan(path: str | Path) -> NetworkFaultPlan:
         raise ConfigurationError(f"fault plan not found: {p}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigurationError(f"{p} is not valid JSON: {exc}") from None
     try:
         return NetworkFaultPlan.from_dict(data)

@@ -134,6 +134,15 @@ class FleetBackend:
         """Per-period trace of server ``index`` (engine channel layout)."""
         raise NotImplementedError
 
+    def _check_budgets(self, budgets_w: list[float]) -> None:
+        """Refuse a budget list whose length is not ``n_servers``; every
+        :meth:`set_budgets` calls this first, so no backend drops extra
+        budgets or broadcasts a single one."""
+        if len(budgets_w) != self.n_servers:
+            raise ConfigurationError(
+                f"expected {self.n_servers} budgets, got {len(budgets_w)}"
+            )
+
     def _check_server_index(self, index: int) -> None:
         """Refuse an index outside ``range(n_servers)``; every
         :meth:`server_trace` calls this first, so a negative index never
@@ -169,6 +178,7 @@ class ReferenceBackend(FleetBackend):
         return [s.state() for s in self.servers]
 
     def set_budgets(self, budgets_w: list[float]) -> None:
+        self._check_budgets(budgets_w)
         for server, budget in zip(self.servers, budgets_w):
             server.sim.set_point_w = budget
 
@@ -283,7 +293,7 @@ class FleetSimulation:
         """Freeze the fleet (backend state, RNG streams, traces, budgets).
 
         The generic object-graph walker captures everything reachable —
-        device banks, generators, controller state, per-server traces —
+        device state, generators, controller state, per-server traces —
         such that :meth:`restore` followed by :meth:`run` continues
         bit-identically with an uninterrupted run.
         """

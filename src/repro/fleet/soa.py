@@ -1,14 +1,14 @@
 """Structure-of-arrays fleet backend: N servers as one numpy program.
 
-Extends the within-server vectorization of ``sim/engine.py`` across the
-*server* axis. Device frequencies, utilizations, delta-sigma error state,
-meter/RAPL accumulators, monitor windows and degradation-ladder state all
-live in ``(n_servers, n_channels)`` / ``(n_servers,)`` float64 arrays. The
-control period advances one meter window (10 ticks by default) at a time,
-each with one numpy program over a ``(channels, ticks, n_servers)`` block,
-instead of N scalar ``ServerSimulation`` loops. Servers are the innermost
-axis, so each channel's window is one contiguous run. A window runs in
-three steps:
+Runs the single-server plant of ``sim/engine.py`` for N servers at once,
+vectorized across the *server* axis. Device frequencies, utilizations,
+delta-sigma error state, meter/RAPL accumulators, monitor windows and
+degradation-ladder state all live in ``(n_servers, n_channels)`` /
+``(n_servers,)`` float64 arrays. The control period advances one meter
+window (10 ticks by default) at a time, each with one numpy program over a
+``(channels, ticks, n_servers)`` block, instead of N scalar
+``ServerSimulation`` loops. Servers are the innermost axis, so each
+channel's window is one contiguous run. A window runs in three steps:
 
 1. the delta-sigma actuator steps tick by tick on ``(channels, n)`` arrays
    until a tick leaves its error state unchanged: the target holds for the
@@ -305,8 +305,9 @@ class SoaFleetBackend(FleetBackend):
             raise ConfigurationError("need at least one GPU workload spec")
         if 1 + len(gpu_specs) >= 8:
             # The column-sequential sums below replicate the scalar engine's
-            # fast path, which (like numpy's pairwise reduce) is only
-            # left-to-right below 8 devices.
+            # numpy reductions over the GPUs (``gpu_power.sum()`` in its
+            # observation, ``np.mean`` of the pressures in FleetServer.state),
+            # which are left to right only below 8 elements.
             raise ConfigurationError("SoA fleet supports at most 6 GPUs per server")
         self.specs = list(specs)
         self.gpu_specs = tuple(gpu_specs)
@@ -322,12 +323,13 @@ class SoaFleetBackend(FleetBackend):
         self.n_gpus = n_gpus
         self.n_channels = n_chan
         self._n_cores = proto.cpus[0].n_cores
-        self._pm_idle = proto._pm_idle.copy()
-        self._pm_dyn = proto._pm_dyn.copy()
-        self._pm_floor = proto._pm_floor.copy()
-        self._pm_omf = proto._pm_one_minus_floor.copy()
-        self._pm_quad = proto._pm_quad.copy()
-        self._pm_fref = proto._pm_fref.copy()
+        pm = [d.power_model for d in devs]
+        self._pm_idle = np.array([m.idle_w for m in pm], dtype=np.float64)
+        self._pm_dyn = np.array([m.dyn_w_per_mhz for m in pm], dtype=np.float64)
+        self._pm_floor = np.array([m.util_floor for m in pm], dtype=np.float64)
+        self._pm_omf = 1.0 - self._pm_floor
+        self._pm_quad = np.array([m.quad_w_per_mhz2 for m in pm], dtype=np.float64)
+        self._pm_fref = np.array([m.f_ref_mhz for m in pm], dtype=np.float64)
         self._f_min = proto.f_min_vector()
         self._f_max = proto.f_max_vector()
         pitches = [d.domain.uniform_pitch_mhz for d in devs]
@@ -455,6 +457,7 @@ class SoaFleetBackend(FleetBackend):
         )
 
     def set_budgets(self, budgets_w: list[float]) -> None:
+        self._check_budgets(budgets_w)
         self._set_point[:] = budgets_w
 
     def last_powers(self) -> list[float]:

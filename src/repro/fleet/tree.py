@@ -22,6 +22,7 @@ import numpy as np
 
 from ..cluster.allocator import BudgetAllocator, ServerPowerState
 from ..errors import ConfigurationError
+from ..units import sum_in_order
 
 __all__ = ["BudgetNode", "BudgetTree"]
 
@@ -91,13 +92,13 @@ def _aggregate(node: BudgetNode, states: list[ServerPowerState]) -> ServerPowerS
     if node.is_leaf:
         return states[node.leaf_index]
     subs = [_aggregate(child, states) for child in node.children]
-    p_min = sum(s.p_min_w for s in subs)
-    p_max = sum(s.p_max_w for s in subs)
-    power = sum(s.power_w for s in subs)
+    p_min = sum_in_order(s.p_min_w for s in subs)
+    p_max = sum_in_order(s.p_max_w for s in subs)
+    power = sum_in_order(s.power_w for s in subs)
     spans = [s.p_max_w - s.p_min_w for s in subs]
-    total_span = sum(spans)
+    total_span = sum_in_order(spans)
     if total_span > 0:
-        demand = sum(s.demand * w for s, w in zip(subs, spans)) / total_span
+        demand = sum_in_order(s.demand * w for s, w in zip(subs, spans)) / total_span
     else:
         demand = float(np.mean([s.demand for s in subs]))
     priority = max(s.priority for s in subs)

@@ -192,22 +192,6 @@ class Device:
             )
         self._frequency_mhz = float(f0)
         self._utilization = 1.0
-        # Array-valued shadow of (frequency, utilization). A standalone
-        # device owns single-slot arrays; a server re-attaches every device
-        # to one stacked pair (see GpuServer) so power evaluation and
-        # actuation can run as single vector ops. The scalar attributes
-        # above remain the fast read path — every write keeps both in sync.
-        self._bank_f = np.array([self._frequency_mhz])
-        self._bank_u = np.array([self._utilization])
-        self._bank_idx = 0
-
-    def _attach_bank(self, f_bank: np.ndarray, u_bank: np.ndarray, idx: int) -> None:
-        """Rebind this device's state slots onto shared stacked arrays."""
-        f_bank[idx] = self._frequency_mhz
-        u_bank[idx] = self._utilization
-        self._bank_f = f_bank
-        self._bank_u = u_bank
-        self._bank_idx = int(idx)
 
     @property
     def frequency_mhz(self) -> float:
@@ -226,18 +210,15 @@ class Device:
                 f"{self.name}: {f_mhz} MHz is not a supported discrete level"
             )
         self._frequency_mhz = float(f_mhz)
-        self._bank_f[self._bank_idx] = self._frequency_mhz
 
     def set_utilization(self, util: float) -> None:
         """Set the busy fraction for the current tick (clamped to [0, 1])."""
         require_non_negative(util, "utilization")
         self._utilization = float(min(util, 1.0))
-        self._bank_u[self._bank_idx] = self._utilization
 
     def _set_utilization_in_range(self, util: float) -> None:
         """Engine fast path: caller guarantees ``0 <= util <= 1`` already."""
         self._utilization = util
-        self._bank_u[self._bank_idx] = util
 
     def power_w(self) -> float:
         """Ground-truth power draw at the current frequency and utilization."""

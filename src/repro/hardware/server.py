@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import spawn
-from ..units import require_non_negative
+from ..units import require_non_negative, sum_in_order
 from .cpu import CpuModel
 from .device import Device
 from .fan import FanModel
@@ -105,36 +105,19 @@ class GpuServer:
             [ThermalNode() for _ in self.devices] if thermal else None
         )
         self._channels = self._build_channels()
-        # Stacked device state: every device's (frequency, utilization) slot
-        # is re-attached onto these arrays, and the power-model coefficients
-        # are stacked alongside, so per-tick power evaluation and actuation
-        # are single vector expressions instead of per-device Python calls.
-        # The scalar Device API writes through to the bank (see Device), so
-        # the arrays are always fresh.
         devs = self.devices
         self._device_seq = tuple(devs)  # immutable hot-path view
-        self._bank_f = np.array([d.frequency_mhz for d in devs], dtype=np.float64)
-        self._bank_u = np.array([d.utilization for d in devs], dtype=np.float64)
-        for i, d in enumerate(devs):
-            d._attach_bank(self._bank_f, self._bank_u, i)
-        pm = [d.power_model for d in devs]
-        self._pm_idle = np.array([m.idle_w for m in pm])
-        self._pm_dyn = np.array([m.dyn_w_per_mhz for m in pm])
-        self._pm_floor = np.array([m.util_floor for m in pm])
-        self._pm_one_minus_floor = 1.0 - self._pm_floor
-        self._pm_quad = np.array([m.quad_w_per_mhz2 for m in pm])
-        self._pm_fref = np.array([m.f_ref_mhz for m in pm])
         self._f_min_vec = np.array([d.domain.f_min for d in devs])
         self._f_max_vec = np.array([d.domain.f_max for d in devs])
-        # Python-list copies of the stacked coefficients for step_all's
-        # scalar fast path (see there for the n<8 restriction).
-        self._pm_idle_l = self._pm_idle.tolist()
-        self._pm_dyn_l = self._pm_dyn.tolist()
-        self._pm_floor_l = self._pm_floor.tolist()
-        self._pm_omf_l = self._pm_one_minus_floor.tolist()
-        self._pm_quad_l = self._pm_quad.tolist()
-        self._pm_fref_l = self._pm_fref.tolist()
-        self._fast_power = self.thermal_nodes is None and len(devs) < 8
+        # Each device with its power-law coefficients as plain floats, for
+        # step_all's loop: (device, idle, dyn, floor, 1 - floor, quad, f_ref).
+        terms = []
+        for d in devs:
+            m = d.power_model
+            floor = float(m.util_floor)
+            terms.append((d, float(m.idle_w), float(m.dyn_w_per_mhz), floor, 1.0 - floor,
+                          float(m.quad_w_per_mhz2), float(m.f_ref_mhz)))
+        self._power_terms = tuple(terms)
 
     # -- structure ----------------------------------------------------------
 
@@ -184,7 +167,7 @@ class GpuServer:
 
     def frequency_vector(self) -> np.ndarray:
         """Current applied frequencies ``F`` in MHz, channel order."""
-        return self._bank_f.copy()
+        return np.array([d.frequency_mhz for d in self._device_seq])
 
     def f_min_vector(self) -> np.ndarray:
         """Per-channel minimum frequencies."""
@@ -196,19 +179,17 @@ class GpuServer:
 
     def utilization_vector(self) -> np.ndarray:
         """Current per-channel busy fractions."""
-        return self._bank_u.copy()
+        return np.array([d.utilization for d in self._device_seq])
 
     def apply_frequency_levels(self, levels_mhz) -> None:
-        """Write one discrete level per device in a single vector store.
+        """Set one discrete level per device, in channel order.
 
         Actuation-layer fast path: the caller (the server actuator)
         guarantees every entry is an exact grid level of the matching
         domain, so the per-device ``contains`` validation of
         :meth:`Device.apply_frequency` is skipped. Accepts an array or a
-        plain list of floats. Scalar mirrors are kept in sync so
-        ``device.frequency_mhz`` reads stay cheap and exact.
+        plain list of floats; each device stores a plain float.
         """
-        self._bank_f[:] = levels_mhz
         if isinstance(levels_mhz, np.ndarray):
             levels_mhz = levels_mhz.tolist()
         for d, f in zip(self._device_seq, levels_mhz):
@@ -218,26 +199,23 @@ class GpuServer:
 
     def component_power_w(self) -> np.ndarray:
         """Per-channel device power (ground truth, no wall noise)."""
-        # Same expression as DevicePowerModel.power_w, evaluated on the
-        # stacked state — elementwise float64 ops in the identical order, so
-        # each entry is bit-identical to the per-device scalar call.
-        activity = self._pm_floor + self._pm_one_minus_floor * self._bank_u
-        df = self._bank_f - self._pm_fref
-        return self._pm_idle + self._pm_dyn * self._bank_f * activity + self._pm_quad * df * df
+        return np.array([d.power_w() for d in self._device_seq])
 
     def cpu_power_w(self) -> float:
         """Total CPU package power (what RAPL would report)."""
-        return float(sum(c.power_w() for c in self.cpus))
+        return float(sum_in_order(c.power_w() for c in self.cpus))
 
     def gpu_power_w(self, index: int | None = None) -> float:
         """Board power of one GPU, or of all GPUs when ``index`` is None."""
         if index is None:
-            return float(sum(g.power_w() for g in self.gpus))
+            return float(sum_in_order(g.power_w() for g in self.gpus))
         return float(self.gpus[index].power_w())
 
     def total_power_w(self, include_noise: bool = True) -> float:
         """Wall power right now: devices + platform floor + fan + disturbance."""
-        p = self.static_power_w + self.fan.power_w() + float(self.component_power_w().sum())
+        p = self.static_power_w + self.fan.power_w() + sum_in_order(
+            d.power_w() for d in self._device_seq
+        )
         if include_noise and self.noise is not None:
             p += self._noise_value
         return p
@@ -267,56 +245,38 @@ class GpuServer:
             self._noise_value = self.noise.sample()
         if self.thermal_nodes is not None:
             hottest = ThermalNode.step_many(
-                self.thermal_nodes, self.component_power_w().tolist(), dt_s
+                self.thermal_nodes, [d.power_w() for d in self._device_seq], dt_s
             )
             self.fan.update(hottest)
         else:
             self.fan.update(None if self.fan.mode.value == "fixed" else self.fan.t_low_c)
 
     def step_all(self, dt_s: float) -> float:
-        """Advance all stacked device state one tick; returns wall power.
+        """Advance the plant one tick; returns wall power.
 
-        The engine's combined per-tick plant update: one
-        :meth:`advance` over the banked device vectors followed by one
-        ground-truth power evaluation, identical in value to calling the two
-        scalar methods back to back. As a side effect the CPU package
-        subtotal is stashed in :attr:`last_cpu_power_w` (summed left to
-        right, matching :meth:`cpu_power_w`'s associativity bit for bit) so
-        the RAPL counter can integrate it without recomputing device powers.
+        The engine's per-tick plant update: :meth:`advance`, then one pass
+        over the devices. The pass evaluates each device's power law with
+        the IEEE operations of
+        :meth:`~repro.hardware.power.DevicePowerModel.power_w` in the same
+        order (utilization is already in ``[0, 1]``) and sums the powers
+        left to right, on every server. As a side effect the CPU package
+        subtotal is stashed in :attr:`last_cpu_power_w` (summed as
+        :meth:`cpu_power_w` sums it) so the RAPL counter can integrate it
+        without recomputing device powers.
         """
         self.advance(dt_s)
-        if self._fast_power:
-            # Scalar evaluation of the same per-device expression, read off
-            # the (always in-sync) scalar mirrors. Restricted to < 8 devices:
-            # numpy's pairwise reduce is strictly sequential below 8
-            # elements, so this left-to-right accumulation reproduces
-            # ``float(comp.sum())`` bit for bit — and at that size the
-            # Python loop is severalfold cheaper than the array expression.
-            idle = self._pm_idle_l
-            dyn = self._pm_dyn_l
-            flo = self._pm_floor_l
-            omf = self._pm_omf_l
-            quad = self._pm_quad_l
-            fref = self._pm_fref_l
-            n_cpu = len(self.cpus)
-            cpu_p = 0.0
-            total = 0.0
-            for i, d in enumerate(self._device_seq):
-                fi = d._frequency_mhz
-                df = fi - fref[i]
-                pw = idle[i] + dyn[i] * fi * (flo[i] + omf[i] * d._utilization) + quad[i] * df * df
-                total += pw
-                if i < n_cpu:
-                    cpu_p += pw
-            self.last_cpu_power_w = cpu_p
-            p = self.static_power_w + self.fan.power_w() + total
-        else:
-            comp = self.component_power_w()
-            cpu_p = 0.0
-            for v in comp[: len(self.cpus)].tolist():
-                cpu_p += v
-            self.last_cpu_power_w = cpu_p
-            p = self.static_power_w + self.fan.power_w() + float(comp.sum())
+        n_cpu = len(self.cpus)
+        cpu_p = 0.0
+        total = 0.0
+        for i, (d, idle, dyn, flo, omf, quad, fref) in enumerate(self._power_terms):
+            f = d._frequency_mhz
+            df = f - fref
+            pw = idle + dyn * f * (flo + omf * d._utilization) + quad * df * df
+            total += pw
+            if i < n_cpu:
+                cpu_p += pw
+        self.last_cpu_power_w = cpu_p
+        p = self.static_power_w + self.fan.power_w() + total
         if self.noise is not None:
             p += self._noise_value
         return p

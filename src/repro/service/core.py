@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from ..checkpoint.blob import build_blob, load_blob, save_blob
 from ..errors import CheckpointError, ConfigurationError
 from ..faults.network import InjectedTwinCrash, ServiceFaultBank
+from ..units import require_positive
 from .cache import ResultCache
 from .events import Event, parse_event
 from .journal import GENESIS_CHAIN, ServiceJournal, chain_digest
@@ -47,8 +48,7 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.n_servers < 1:
             raise ConfigurationError("n_servers must be >= 1")
-        if self.window_s <= 0.0:
-            raise ConfigurationError("window_s must be > 0")
+        require_positive(self.window_s, "window_s")
         if self.periods_per_window < 1:
             raise ConfigurationError("periods_per_window must be >= 1")
 

@@ -83,7 +83,7 @@ def parse_event(line: str) -> Event:
     """Parse one LDJSON line into an :class:`Event` (strict, no coercion)."""
     try:
         payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigurationError(f"event line is not valid JSON: {exc}") from None
     return make_event(payload)
 

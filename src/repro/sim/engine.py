@@ -592,7 +592,7 @@ class ServerSimulation:
     def snapshot(self, controller=None, events=None) -> dict:
         """Freeze the full run state into a versioned checkpoint blob.
 
-        Captures everything the next period depends on — device banks,
+        Captures everything the next period depends on — device state,
         RNG bit-generator streams, degradation-ladder freshness/holdover
         state, actuator targets and read-back state, the cumulative trace,
         plus the controller stack and event schedule when passed — such

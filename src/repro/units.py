@@ -1,4 +1,4 @@
-"""Unit conversions and validation helpers.
+"""Unit conversions, validation helpers and an order-fixed float sum.
 
 Internal convention of the whole package:
 
@@ -39,6 +39,7 @@ __all__ = [
     "require_non_negative",
     "require_in_range",
     "require_monotonic",
+    "sum_in_order",
 ]
 
 MHZ_PER_GHZ = 1000.0
@@ -137,3 +138,16 @@ def require_monotonic(values: Iterable[float], name: str) -> list[float]:
         if not b > a:
             raise ConfigurationError(f"{name} must be strictly increasing, got {out!r}")
     return out
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """Sum ``values`` left to right, the same on every Python version.
+
+    CPython 3.12 made builtin ``sum()`` compensate its rounding over floats,
+    so its last bit depends on the interpreter; digest-relevant code sums
+    floats through this instead.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..rng import BlockSampler
-from ..units import require_positive
+from ..units import require_positive, sum_in_order
 
 __all__ = [
     "cross_val_mse",
@@ -210,7 +210,7 @@ class FeatureSelectionWorkload:
             else:
                 latencies = [base] * done
             self.completed_subsets += done
-            self._total_latency_s += float(sum(latencies))
+            self._total_latency_s += float(sum_in_order(latencies))
         return done, latencies
 
     def mean_latency_s(self) -> float:

@@ -167,10 +167,11 @@ class TestCorruptionRefused:
 
     def test_undecodable_interior_line_refuses(self, tmp_path):
         journal, lines = self.journal_lines(tmp_path)
-        lines[1] = "{broken"
-        self.rewrite(journal, lines)
-        with pytest.raises(CheckpointError, match="undecodable interior"):
-            journal.replay()
+        for damage in ("{broken", "[" * 20000 + "]" * 20000):
+            lines[1] = damage
+            self.rewrite(journal, lines)
+            with pytest.raises(CheckpointError, match="undecodable interior"):
+                journal.replay()
 
     def test_edited_record_breaks_the_chain(self, tmp_path):
         journal, lines = self.journal_lines(tmp_path)

@@ -76,9 +76,10 @@ class TestPlanRoundTrip:
 
     def test_loader_wraps_path_in_errors(self, tmp_path):
         path = tmp_path / "plan.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigurationError, match="plan.json"):
-            load_network_fault_plan(path)
+        for text in ("{not json", "[" * 20000 + "]" * 20000):
+            path.write_text(text)
+            with pytest.raises(ConfigurationError, match="plan.json"):
+                load_network_fault_plan(path)
 
     def test_loader_round_trips_file(self, tmp_path):
         plan = NetworkFaultPlan(faults=ALL_NET, seed=3)

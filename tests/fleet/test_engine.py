@@ -135,6 +135,17 @@ class TestStepping:
         finally:
             fleet.backend.close()
 
+    @pytest.mark.parametrize("backend", ["reference", "soa", "fast", "fast-parallel"])
+    def test_set_budgets_refuses_wrong_length(self, backend):
+        fleet = small_fleet(n=2, backend=backend)
+        try:
+            for budgets in ([700.0], [700.0, 700.0, 700.0]):
+                with pytest.raises(ConfigurationError, match="expected 2 budgets"):
+                    fleet.backend.set_budgets(budgets)
+            fleet.backend.set_budgets([700.0, 710.0])
+        finally:
+            fleet.backend.close()
+
     def test_total_power_is_sum_of_server_powers(self):
         fleet = small_fleet(n=3)
         fleet.run(2)

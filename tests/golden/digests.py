@@ -271,14 +271,20 @@ def pinnable() -> tuple[bool, str]:
     return True, ""
 
 
-def compute(names: Sequence[str] | None = None) -> dict:
-    """Run the pinned child; returns its ``{"header", "digests"}`` object."""
+def compute(
+    names: Sequence[str] | None = None, module: str = "tests.golden.digests"
+) -> dict:
+    """Run the pinned child; returns its ``{"header", "digests"}`` object.
+
+    ``module`` is the child's entry point: this module, or one that wraps
+    :func:`main` (``tests.golden.compensated_sum``).
+    """
     env = {**os.environ, **PINS}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "tests.golden.digests", *(names or ())],
+        [sys.executable, "-m", module, *(names or ())],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -109,6 +109,33 @@ class TestServeCommand:
         assert payload["windows_closed"] == 2
         assert payload["status"] == "ok"
 
+    def test_stdin_skips_a_too_deeply_nested_line(self, monkeypatch, capsys):
+        import io
+
+        monkeypatch.setattr(
+            "sys.stdin",
+            io.StringIO(
+                '{"kind": "telemetry", "t": 0.5, "power_w": 101.0}\n'
+                + "[" * 20000 + "]" * 20000 + "\n"
+                + '{"kind": "heartbeat", "t": 1.0}\n'
+            ),
+        )
+        assert main(["serve", "--stdin", "--servers", "4", "--oneshot"]) == 0
+        assert json.loads(capsys.readouterr().out)["windows_closed"] == 1
+
+    @pytest.mark.parametrize("width", ["nan", "inf"])
+    def test_non_finite_window_is_exit_2_before_the_journal(
+        self, tmp_path, trace_path, width, capsys
+    ):
+        journal_dir = tmp_path / "svc"
+        assert main(
+            self.serve_args(
+                trace_path, "--window-s", width, "--journal", str(journal_dir)
+            )
+        ) == 2
+        assert "window_s" in capsys.readouterr().err
+        assert not journal_dir.exists()
+
     def test_requires_an_event_source(self, capsys):
         assert main(["serve", "--servers", "4", "--oneshot"]) == 2
         assert "no event source" in capsys.readouterr().err

@@ -123,10 +123,11 @@ class TestWal:
         write_entries(journal, 3)
         journal.close()
         lines = journal.wal_path.read_text().splitlines()
-        lines[1] = "{broken"
-        journal.wal_path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CheckpointError, match="undecodable interior"):
-            ServiceJournal.open(tmp_path / "svc").replay()
+        for damage in ("{broken", "[" * 20000 + "]" * 20000):
+            lines[1] = damage
+            journal.wal_path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(CheckpointError, match="undecodable interior"):
+                ServiceJournal.open(tmp_path / "svc").replay()
 
     def test_modified_entry_breaks_the_chain(self, tmp_path):
         journal = ServiceJournal.create(tmp_path / "svc", {})

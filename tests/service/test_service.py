@@ -53,7 +53,13 @@ class TestServiceConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"n_servers": 0}, {"window_s": 0.0}, {"periods_per_window": 0}],
+        [
+            {"n_servers": 0},
+            {"window_s": 0.0},
+            {"periods_per_window": 0},
+            {"window_s": float("nan")},
+            {"window_s": float("inf")},
+        ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -98,9 +98,10 @@ class TestSchema:
 
     def test_load_rejects_invalid_json(self, tmp_path):
         bad = tmp_path / "BENCH_x.json"
-        bad.write_text("{nope")
-        with pytest.raises(ExperimentError, match="not valid JSON"):
-            load_bench(bad)
+        for text in ("{nope", "[" * 20000 + "]" * 20000):
+            bad.write_text(text)
+            with pytest.raises(ExperimentError, match="not valid JSON"):
+                load_bench(bad)
 
 
 class TestCompare:
