@@ -19,7 +19,9 @@ Readers therefore observe either the previous complete file or the new
 complete file, never a mixture. Append-only logs are the one legitimate
 exception: the write-ahead log (:mod:`repro.checkpoint.wal`) appends one
 fsynced line at a time and its replay tolerates only a torn final line,
-which the next append cuts off.
+which the next append cuts off; the service's ``history.bin``
+(:mod:`repro.service.journal`) appends fsynced records, and only the
+prefix its state blob hashed is ever read back.
 
 ``repro lint`` rule REP107 flags artifact writes inside ``src/repro``
 that bypass this module.
@@ -97,9 +99,8 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
     """Atomically write ``data`` to ``path``; returns the destination."""
     dest = Path(path)
     with atomic_path(dest) as tmp:
-        with open(tmp, "wb") as fh:
+        with open(tmp, "wb") as fh:  # atomic_path fsyncs it once closed
             fh.write(data)
-            fsync_file(fh)
     return dest
 
 

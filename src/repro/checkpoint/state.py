@@ -28,6 +28,13 @@ Classes may customize their captured state with the
 uses it to snapshot matrix-cache *keys* and replay the assembly on
 restore instead of serializing the read-only cached matrices).
 
+A caller that stores some arrays elsewhere passes them as ``tables``, a
+mapping of names to arrays: each is captured as ``{"__table__": name}``,
+and restore puts back the array the caller supplies under that name (the
+digital-twin service keeps its twins' history in an append-only file this
+way, so its state blob stays fixed-size). A capture without tables is the
+plain tree above.
+
 Attribute and set iteration orders are made deterministic (sorted), so
 capturing the same state twice yields equal trees — the property the
 snapshot/restore round-trip tests are built on.
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import importlib
 from collections import deque
+from collections.abc import Mapping
 from enum import Enum
 from types import BuiltinFunctionType, FunctionType, MethodType, ModuleType
 
@@ -94,10 +102,12 @@ def _state_items(obj) -> list[tuple[str, object]]:
 class _Capture:
     """One capture pass: node-id assignment plus alias memoization."""
 
-    def __init__(self):
+    def __init__(self, tables: Mapping[str, np.ndarray] | None = None):
         self._ids: dict[int, int] = {}
         self._keepalive: list[object] = []
         self._counter = 0
+        self._tables = {id(arr): name for name, arr in (tables or {}).items()}
+        self._dtype_names: dict[np.dtype, str] = {}
 
     def _node_id(self, obj) -> tuple[int, bool]:
         """(node id, first visit?) for an aliasable object."""
@@ -116,13 +126,19 @@ class _Capture:
         if isinstance(obj, np.generic):
             return {"__npval__": [str(obj.dtype), obj.tobytes()]}
         if isinstance(obj, np.ndarray):
+            table = self._tables.get(id(obj))
+            if table is not None:
+                return {"__table__": table}
             nid, first = self._node_id(obj)
             if not first:
                 return {"__ref__": nid}
+            dtype = self._dtype_names.get(obj.dtype)
+            if dtype is None:
+                dtype = self._dtype_names[obj.dtype] = str(obj.dtype)
             return {
                 "__nd__": {
                     "#": nid,
-                    "dtype": str(obj.dtype),
+                    "dtype": dtype,
                     "shape": list(obj.shape),
                     "data": obj.tobytes(),
                 }
@@ -144,6 +160,8 @@ class _Capture:
             nid, first = self._node_id(obj)
             if not first:
                 return {"__ref__": nid}
+            if set(map(type, obj)) <= {float}:  # noise buffers: one slice
+                return {"__list__": {"#": nid, "items": obj[:]}}
             return {"__list__": {"#": nid, "items": [self.capture(v) for v in obj]}}
         if isinstance(obj, dict):
             nid, first = self._node_id(obj)
@@ -208,22 +226,24 @@ class _Capture:
         return {"__obj__": node}
 
 
-def capture(*objects):
+def capture(*objects, tables: Mapping[str, np.ndarray] | None = None):
     """Capture one shared-memo tagged tree per object; returns a list.
 
     All objects share a single alias memo, so cross-object references (a
     controller holding the engine's model arrays) restore to the *same*
-    object on the other side.
+    object on the other side. An array that is one of ``tables``' values
+    (by identity) is captured as a ``__table__`` node naming it.
     """
-    cap = _Capture()
+    cap = _Capture(tables)
     return [cap.capture(obj) for obj in objects]
 
 
 class _Restore:
     """One restore pass: node-id -> restored-object memo."""
 
-    def __init__(self):
+    def __init__(self, tables: Mapping[str, np.ndarray] | None = None):
         self._memo: dict[int, object] = {}
+        self._tables = tables or {}
 
     def restore(self, tag, existing):
         if isinstance(tag, _PRIMITIVES):
@@ -240,6 +260,11 @@ class _Restore:
             return np.frombuffer(data, dtype=np.dtype(dtype))[0]
         if "__nd__" in tag:
             return self._restore_array(tag["__nd__"], existing)
+        if "__table__" in tag:
+            name = tag["__table__"]
+            if name not in self._tables:
+                raise CheckpointError(f"checkpoint table {name!r} was not supplied")
+            return self._tables[name]
         if "__rng__" in tag:
             return self._restore_rng(tag["__rng__"], existing)
         if "__tuple__" in tag:
@@ -392,19 +417,20 @@ class _Restore:
         return target
 
 
-def restore(tags, existing_objects):
+def restore(tags, existing_objects, tables: Mapping[str, np.ndarray] | None = None):
     """Restore trees from :func:`capture` into ``existing_objects`` in place.
 
     ``tags`` and ``existing_objects`` must align pairwise with the capture
-    call. Returns the restored objects (identical to the existing ones
-    wherever types matched — which they always do for a correctly
-    reconstructed run).
+    call; ``tables`` supplies, by name, the array each ``__table__`` node
+    restores to (used as given, not copied). Returns the restored objects
+    (identical to the existing ones wherever types matched — which they
+    always do for a correctly reconstructed run).
     """
     if len(tags) != len(existing_objects):
         raise CheckpointError(
             f"{len(tags)} state trees but {len(existing_objects)} target objects"
         )
-    rest = _Restore()
+    rest = _Restore(tables)
     return [rest.restore(tag, obj) for tag, obj in zip(tags, existing_objects)]
 
 

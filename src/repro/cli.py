@@ -889,7 +889,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 else defaults.max_line_bytes
             ),
             idle_timeout_s=(
-                (args.idle_timeout_s if args.idle_timeout_s > 0 else None)
+                (None if args.idle_timeout_s == 0 else args.idle_timeout_s)
                 if args.idle_timeout_s is not None
                 else defaults.idle_timeout_s
             ),

@@ -39,9 +39,11 @@ __all__ = [
     "TOLERANCES",
     "SETTLE_BAND_FRAC",
     "server_metrics",
+    "fleet_server_metrics",
     "EquivRow",
     "EquivReport",
     "compare_backends",
+    "compare_metrics",
     "compare_traces",
     "run_fleet_equivalence",
     "run_scalar_capgpu_equivalence",
@@ -113,9 +115,34 @@ def server_metrics(
     """
     if len(trace) == 0:
         raise ConfigurationError("cannot compute equivalence metrics of an empty trace")
-    power = np.asarray(trace["power_w"], dtype=np.float64)
-    set_point = np.asarray(trace["set_point_w"], dtype=np.float64)
-    peak = np.asarray(trace["power_max_w"], dtype=np.float64)
+    return _metrics(
+        trace["power_w"], trace["set_point_w"], trace["power_max_w"], settle_band_frac
+    )
+
+
+def fleet_server_metrics(
+    power: np.ndarray,
+    set_point: np.ndarray,
+    peak: np.ndarray,
+    settle_band_frac: float = SETTLE_BAND_FRAC,
+) -> list[dict[str, float]]:
+    """:func:`server_metrics` of every server, from ``(periods, servers)``
+    blocks of the ``power_w``, ``set_point_w`` and ``power_max_w`` channels.
+
+    Each server's means stay 1-D reductions over its own column: a
+    reduction along the period axis of the block rounds differently.
+    """
+    if power.shape[0] == 0:
+        raise ConfigurationError("cannot compute equivalence metrics of an empty trace")
+    return [
+        _metrics(power[:, i], set_point[:, i], peak[:, i], settle_band_frac)
+        for i in range(power.shape[1])
+    ]
+
+
+def _metrics(
+    power: np.ndarray, set_point: np.ndarray, peak: np.ndarray, settle_band_frac: float
+) -> dict[str, float]:
     err = power - set_point
     finite = np.isfinite(err)
     abs_err = np.abs(err[finite])
@@ -127,11 +154,8 @@ def server_metrics(
     )
     band = settle_band_frac * np.abs(set_point)
     inside = finite & (np.abs(err) <= band)
-    settle = len(inside)
-    for k in range(len(inside) - 1, -1, -1):
-        if not inside[k]:
-            break
-        settle = k
+    outside = np.flatnonzero(~inside)
+    settle = int(outside[-1]) + 1 if outside.size else 0
     return {
         "power_err_w": power_err_w,
         "violation_rate": violation_rate,
@@ -195,14 +219,28 @@ def compare_traces(
     tolerances: tuple[ToleranceSpec, ...] = TOLERANCES,
 ) -> EquivReport:
     """Paired equivalence report from matched per-server trace lists."""
-    if len(reference) != len(fast) or not reference:
+    return compare_metrics(
+        [server_metrics(t) for t in reference],
+        [server_metrics(t) for t in fast],
+        scenario=scenario,
+        tolerances=tolerances,
+    )
+
+
+def compare_metrics(
+    ref_metrics: list[dict[str, float]],
+    fast_metrics: list[dict[str, float]],
+    scenario: str = "custom",
+    tolerances: tuple[ToleranceSpec, ...] = TOLERANCES,
+) -> EquivReport:
+    """Paired equivalence report from matched per-server metrics
+    (:func:`server_metrics` of each side's servers)."""
+    if len(ref_metrics) != len(fast_metrics) or not ref_metrics:
         raise ConfigurationError(
-            f"paired comparison needs equal nonempty trace lists, got "
-            f"{len(reference)} reference vs {len(fast)} fast"
+            f"paired comparison needs equal nonempty server lists, got "
+            f"{len(ref_metrics)} reference vs {len(fast_metrics)} fast"
         )
-    ref_metrics = [server_metrics(t) for t in reference]
-    fast_metrics = [server_metrics(t) for t in fast]
-    report = EquivReport(scenario=scenario, n_servers=len(reference))
+    report = EquivReport(scenario=scenario, n_servers=len(ref_metrics))
     for spec in tolerances:
         diffs = np.array(
             [

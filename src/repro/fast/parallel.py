@@ -69,7 +69,7 @@ def _worker_main(
             cmd, payload = conn.recv()
             if cmd == "run":
                 backend.run_periods(payload)
-                view[:] = backend._rows[-1]
+                view[:] = backend._last_row()
                 conn.send(("ok", backend.period_index))
             elif cmd == "budgets":
                 backend.set_budgets(payload)

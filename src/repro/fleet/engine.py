@@ -23,6 +23,7 @@ scenario, backend name, size and seed become a :class:`FleetSimulation`.
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -133,6 +134,17 @@ class FleetBackend:
     def server_trace(self, index: int) -> Trace:
         """Per-period trace of server ``index`` (engine channel layout)."""
         raise NotImplementedError
+
+    def server_columns(self, names: tuple[str, ...]) -> list[np.ndarray]:
+        """Each named engine channel as a ``(periods, n_servers)`` array."""
+        traces = [self.server_trace(i) for i in range(self.n_servers)]
+        return [np.column_stack([t[name] for t in traces]) for name in names]
+
+    def history_tables(self) -> dict[str, tuple[np.ndarray, int]]:
+        """Growable history arrays, keyed by name, as ``(storage, rows
+        written)``: what a checkpoint may keep outside its state blob
+        (:meth:`FleetSimulation.history_tables`). None by default."""
+        return {}
 
     def _check_budgets(self, budgets_w: list[float]) -> None:
         """Refuse a budget list whose length is not ``n_servers``; every
@@ -289,21 +301,35 @@ class FleetSimulation:
 
     # -- checkpointing -----------------------------------------------------
 
-    def snapshot(self) -> dict:
+    def history_tables(self) -> dict[str, tuple[np.ndarray, int]]:
+        """The fleet's growable history arrays, keyed by table name, as
+        ``(storage, rows written)``: the fleet trace's rows on every
+        backend, plus the backend's own (the SoA per-server history).
+        Only the first ``rows`` rows of a storage array are history."""
+        tables = {"trace": (self.trace._data, len(self.trace))}
+        tables.update(self.backend.history_tables())
+        return tables
+
+    def snapshot(self, tables: Mapping[str, np.ndarray] | None = None) -> dict:
         """Freeze the fleet (backend state, RNG streams, traces, budgets).
 
         The generic object-graph walker captures everything reachable —
         device state, generators, controller state, per-server traces —
         such that :meth:`restore` followed by :meth:`run` continues
-        bit-identically with an uninterrupted run.
+        bit-identically with an uninterrupted run. ``tables`` maps names
+        to storage arrays of :meth:`history_tables` that the caller keeps
+        elsewhere; each is captured as a reference by name.
         """
         from ..checkpoint.state import capture
 
-        return {"fleet": capture(self)[0]}
+        return {"fleet": capture(self, tables=tables)[0]}
 
-    def restore(self, blob: dict) -> "FleetSimulation":
-        """Load a :meth:`snapshot` blob into this (same-construction) fleet."""
+    def restore(
+        self, blob: dict, tables: Mapping[str, np.ndarray] | None = None
+    ) -> "FleetSimulation":
+        """Load a :meth:`snapshot` blob into this (same-construction) fleet;
+        ``tables`` supplies the arrays the snapshot referenced by name."""
         from ..checkpoint.state import restore
 
-        restore([blob["fleet"]], [self])
+        restore([blob["fleet"]], [self], tables=tables)
         return self

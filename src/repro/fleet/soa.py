@@ -438,7 +438,12 @@ class SoaFleetBackend(FleetBackend):
         self._last_ctl_ms = 0.0
         self._channels = trace_channels(n_chan, n_gpus)
         self._chan_index = {c: i for i, c in enumerate(self._channels)}
-        self._rows: list[np.ndarray] = []
+        # Per-period history: one (capacity, n, channels) array whose first
+        # ``_n_rows`` rows are written, doubling like Trace. Growth is
+        # zero-filled (untouched pages stay unmapped, and a snapshot of the
+        # spare rows is deterministic); each row is NaN-filled when written.
+        self._hist = np.zeros((16, n, len(self._channels)), dtype=np.float64)
+        self._n_rows = 0
 
     @property
     def names(self) -> list[str]:
@@ -446,9 +451,13 @@ class SoaFleetBackend(FleetBackend):
 
     # -- FleetBackend interface --------------------------------------------
 
+    def _last_row(self) -> np.ndarray | None:
+        """The latest period's ``(n, channels)`` row; None before the first."""
+        return self._hist[self._n_rows - 1] if self._n_rows else None
+
     def states(self) -> list[ServerPowerState]:
         return _server_states(
-            self._rows[-1] if self._rows else None,
+            self._last_row(),
             self._chan_index,
             self.n_gpus,
             self._names,
@@ -461,17 +470,21 @@ class SoaFleetBackend(FleetBackend):
         self._set_point[:] = budgets_w
 
     def last_powers(self) -> list[float]:
-        if not self._rows:
+        last = self._last_row()
+        if last is None:
             raise ConfigurationError("fleet has not run yet")
-        return self._rows[-1][:, self._chan_index["power_w"]].tolist()
+        return last[:, self._chan_index["power_w"]].tolist()
 
     def server_trace(self, index: int) -> Trace:
         self._check_server_index(index)
-        if not self._rows:
-            return Trace(self._channels, capacity=1)
-        return Trace.from_array(
-            self._channels, np.array([row[index] for row in self._rows])
-        )
+        return Trace.from_array(self._channels, self._hist[: self._n_rows, index])
+
+    def server_columns(self, names: tuple[str, ...]) -> list[np.ndarray]:
+        hist = self._hist[: self._n_rows]
+        return [hist[:, :, self._chan_index[name]] for name in names]
+
+    def history_tables(self) -> dict[str, tuple[np.ndarray, int]]:
+        return {"soa": (self._hist, self._n_rows)}
 
     # -- stepping ----------------------------------------------------------
 
@@ -876,7 +889,12 @@ class SoaFleetBackend(FleetBackend):
 
     def _record_period(self, r: PeriodReadings) -> None:
         n = len(self.specs)
-        row = np.full((n, len(self._channels)), np.nan)
+        if self._n_rows == self._hist.shape[0]:
+            grown = np.zeros((max(2 * self._n_rows, 16),) + self._hist.shape[1:])
+            grown[: self._n_rows] = self._hist
+            self._hist = grown
+        row = self._hist[self._n_rows]
+        row[...] = np.nan
         ix = self._chan_index
         row[:, ix["time_s"]] = self.time_s
         row[:, ix["period"]] = float(self.period_index)
@@ -901,4 +919,4 @@ class SoaFleetBackend(FleetBackend):
         # per-batch latencies (matching its scalar twin), and no SLOs or
         # feature-selection workload exist on the SoA path.
         row[:, ix["cpu_tput"]] = r.tput_raw[:, 0]
-        self._rows.append(row)
+        self._n_rows += 1

@@ -4,7 +4,8 @@
 window manager; every window the watermark closes advances the deployed
 twin and every configured shadow twin one step, computes the
 shadow-vs-deployed equivalence deltas, journals the result to the WAL
-(hash-chained), refreshes the checkpoint blob, and files the answers in
+(hash-chained), appends the twins' new history rows to ``history.bin``
+and refreshes the fixed-size checkpoint blob, and files the answers in
 the what-if cache. The service itself never reads the wall clock — all
 time is event time — so a killed service replayed from its journal
 reconstructs byte-identical state.
@@ -17,8 +18,11 @@ build the twins, advance them ``n`` windows, return the answers. CI's
 
 from __future__ import annotations
 
+import hashlib
 from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..checkpoint.blob import build_blob, load_blob, save_blob
 from ..errors import CheckpointError, ConfigurationError
@@ -148,6 +152,17 @@ class _PendingWindow:
     shed_level: int
 
 
+@dataclass
+class _HistoryEnd:
+    """How much of ``history.bin`` holds committed twin history: the
+    windows it covers, its length (where the next append starts) and the
+    running sha256 of those bytes."""
+
+    windows: int = 0
+    length: int = 0
+    sha256: "hashlib._Hash" = field(default_factory=hashlib.sha256)
+
+
 class DigitalTwinService:
     """Streaming service state: window manager, twins, cache, journal.
 
@@ -193,6 +208,12 @@ class DigitalTwinService:
         self.windows_shed_shadows = 0
         self.windows_deployed_only = 0
         self.rebuilds_total = 0
+        self._history = _HistoryEnd()
+        #: How a resume rebuilt the twins: ``"blob"`` (the checkpoint, then
+        #: ``resimulated_windows`` more) or ``"wal"`` (re-simulating every
+        #: journaled window); None when nothing was resumed.
+        self.restored_from: str | None = None
+        self.resimulated_windows = 0
         restored = 0
         if resume:
             if journal is None:
@@ -203,46 +224,114 @@ class DigitalTwinService:
     # -- resume ------------------------------------------------------------
 
     def _resume(self, journal: ServiceJournal) -> int:
-        """Rebuild state from the WAL (+ blob when it matches the head)."""
+        """Rebuild state from the WAL, starting from the blob when it holds
+        one of the WAL's windows."""
         entries = journal.replay()
         if not entries:
             return 0
+        n = len(entries)
         self.records = list(entries)
         self.chain = journal.head_chain(entries)
-        self._last_journaled_index = len(entries) - 1
-        if not self._restore_from_blob(journal, len(entries)):
-            self.deployed.advance(len(entries))
-            for shadow in self.shadows.values():
-                shadow.advance(len(entries))
+        self._last_journaled_index = n - 1
+        restored = self._restore_from_blob(journal, entries)
+        self.restored_from = "blob" if restored else "wal"
+        self.resimulated_windows = n - restored
+        self.deployed.advance(n - restored)
+        for shadow in self.shadows.values():
+            shadow.advance(n - restored)
         # Whichever path restored the twins, they must reproduce the
         # journaled digests exactly.
         self._check_twin_digests(entries[-1])
         for entry in entries:
             self._file_in_cache(entry)
-        return len(entries)
+        if restored < n:
+            # Bring history.bin and the blob up to the head; after a
+            # fallback this rewrites history.bin from its first byte.
+            self._save_blob(journal)
+        return n
 
-    def _restore_from_blob(self, journal: ServiceJournal, n_windows: int) -> bool:
-        """Restore twin state from the checkpoint blob when it matches the
-        verified WAL head; stale/missing/corrupt blobs fall back to
-        deterministic re-simulation (the WAL is authoritative)."""
+    def _restore_from_blob(self, journal: ServiceJournal, entries: list[dict]) -> int:
+        """Restore twin state from the checkpoint blob when its chain is one
+        of the verified WAL entries and the history it records checks out;
+        returns the windows it covers, 0 when it cannot be used (missing,
+        corrupt, foreign or written before ``history.bin`` existed): the
+        caller then re-simulates, the WAL is authoritative."""
         if not journal.blob_path.exists():
-            return False
+            return 0
         try:
             blob = load_blob(journal.blob_path)
         except CheckpointError:
-            return False
-        summary = blob["summary"]
-        if summary.get("windows_closed") != n_windows or summary.get("chain") != self.chain:
-            return False
-        state = blob["state"]
-        if set(state.get("shadows", {})) != set(self.shadows):
-            return False
-        self.deployed.fleet.restore(state["deployed"])
-        self.deployed.windows_advanced = n_windows
+            return 0
+        summary, state = blob["summary"], blob["state"]
+        m = summary.get("windows_closed")
+        history = summary.get("history")
+        if (
+            history is None
+            or not isinstance(m, int)
+            or not 0 < m <= len(entries)
+            or summary.get("chain") != entries[m - 1]["chain"]
+            or set(state.get("shadows", {})) != set(self.shadows)
+        ):
+            return 0
+        read = self._read_history(journal, history, m)
+        if read is None:
+            return 0
+        tables, self._history = read
+        self.deployed.restore(state["deployed"], tables["deployed"], m)
         for name, shadow in self.shadows.items():
-            shadow.fleet.restore(state["shadows"][name])
-            shadow.windows_advanced = n_windows
-        return True
+            shadow.restore(state["shadows"][name], tables[name], m)
+        journal.truncate_history(self._history.length)
+        return m
+
+    def _history_layout(self) -> list[tuple[str, str, np.ndarray, int]]:
+        """``(twin, table, storage, rows)`` for every history table, in the
+        order of a ``history.bin`` record: the deployed twin, then the
+        shadows by name; each twin's tables by name."""
+        twins = [("deployed", self.deployed), *sorted(self.shadows.items())]
+        return [
+            (twin_name, table, storage, rows)
+            for twin_name, twin in twins
+            for table, (storage, rows) in sorted(twin.fleet.history_tables().items())
+        ]
+
+    def _read_history(
+        self, journal: ServiceJournal, history: dict, windows: int
+    ) -> tuple[dict[str, dict[str, np.ndarray]], _HistoryEnd] | None:
+        """Each twin's history tables after ``windows`` windows, read back
+        from ``history.bin``, and where that history ends, when the file's
+        prefix matches the blob's record (length, sha256, table names and
+        row counts); else None.
+
+        The file is one record per window; a record holds every table's
+        rows of that window in :meth:`_history_layout` order.
+        """
+        layout = self._history_layout()
+        recorded = history.get("tables")
+        if not isinstance(recorded, list) or [r[:2] for r in recorded] != [
+            [twin, table] for twin, table, _, _ in layout
+        ]:
+            return None
+        widths = []
+        for (_, _, storage, _), (_, _, rows) in zip(layout, recorded):
+            if rows % windows:
+                return None
+            widths.append(rows // windows * storage[0].nbytes)
+        length = history.get("length")
+        if length != windows * sum(widths):
+            return None
+        data = journal.read_history(length)
+        if data is None:
+            return None
+        sha256 = hashlib.sha256(data)
+        if sha256.hexdigest() != history.get("sha256"):
+            return None
+        records = np.frombuffer(data, dtype=np.uint8).reshape(windows, -1)
+        blocks = np.split(records, np.cumsum(widths)[:-1], axis=1)
+        tables: dict[str, dict[str, np.ndarray]] = {}
+        for (twin, table, storage, _), (_, _, rows), block in zip(layout, recorded, blocks):
+            rows_of = block.copy().view(storage.dtype).reshape((rows,) + storage.shape[1:])
+            tables.setdefault(twin, {})[table] = rows_of
+        return tables, _HistoryEnd(windows, length, sha256)
 
     def _check_twin_digests(self, last: dict) -> None:
         """The bit-identity cross-check: every rebuilt twin must reproduce
@@ -405,26 +494,46 @@ class DigitalTwinService:
             self.cache.put(answer["topology_hash"], chain, answer)
 
     def _save_blob(self, journal: ServiceJournal) -> None:
-        if any(
-            shadow.windows_advanced != len(self.records)
-            for shadow in self.shadows.values()
-        ):
-            # Deployed-only shedding left the shadows lagging; the blob
-            # format assumes every twin sits at the committed head, so
-            # skip the refresh — a resume falls back to the WAL, which
-            # rebuilds (and fully catches up) deterministically.
+        """Append the twins' new history rows to ``history.bin``, then
+        write the state blob that goes with it."""
+        n = len(self.records)
+        if any(shadow.windows_advanced != n for shadow in self.shadows.values()):
+            # Deployed-only shedding left the shadows lagging; both files
+            # assume every twin sits at the committed head, so skip them —
+            # the catch-up commit appends the lagged rows, and a resume
+            # restores the older blob and re-simulates the gap.
             return
+        layout = self._history_layout()
+        end = self._history
+        if n > end.windows:
+            # Window-major records: every table's rows of one window, then
+            # the next window's.
+            data = np.concatenate(
+                [
+                    storage[end.windows * (rows // n) : rows]
+                    .reshape(n - end.windows, -1)
+                    .view(np.uint8)
+                    for _, _, storage, rows in layout
+                ],
+                axis=1,
+            ).tobytes()
+            journal.append_history(end.length, data)
+            end.sha256.update(data)
+            end.length += len(data)
+            end.windows = n
         state = {
-            "deployed": self.deployed.fleet.snapshot(),
-            "shadows": {
-                name: shadow.fleet.snapshot()
-                for name, shadow in self.shadows.items()
-            },
+            "deployed": self.deployed.snapshot(),
+            "shadows": {name: shadow.snapshot() for name, shadow in self.shadows.items()},
+        }
+        history = {
+            "length": end.length,
+            "sha256": end.sha256.hexdigest(),
+            "tables": [[twin, table, rows] for twin, table, _, rows in layout],
         }
         blob = build_blob(
             state,
-            created={"windows_closed": len(self.records)},
-            summary={"windows_closed": len(self.records), "chain": self.chain},
+            created={"windows_closed": n},
+            summary={"windows_closed": n, "chain": self.chain, "history": history},
         )
         save_blob(journal.blob_path, blob)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from ...errors import ConfigurationError
 from ...faults.network import DEFAULT_MAX_LINE_BYTES
+from ...units import require_non_negative, require_positive
 
 __all__ = ["ResilienceConfig"]
 
@@ -82,17 +83,18 @@ class ResilienceConfig:
             raise ConfigurationError(
                 "shed fractions must be ordered: late <= shadows <= deployed-only"
             )
-        if self.late_horizon_s < 0.0:
-            raise ConfigurationError("late_horizon_s must be >= 0")
+        require_non_negative(self.late_horizon_s, "late_horizon_s")
         if self.max_line_bytes < 2:
             raise ConfigurationError("max_line_bytes must be >= 2")
-        if self.idle_timeout_s is not None and self.idle_timeout_s <= 0.0:
-            raise ConfigurationError("idle_timeout_s must be > 0 (or None)")
+        if self.idle_timeout_s is not None:
+            require_positive(self.idle_timeout_s, "idle_timeout_s")
         if self.max_conn_errors < 1:
             raise ConfigurationError("max_conn_errors must be >= 1")
         if self.breaker_failures < 1:
             raise ConfigurationError("breaker_failures must be >= 1")
-        if self.backoff_base_s <= 0.0 or self.backoff_cap_s < self.backoff_base_s:
+        require_positive(self.backoff_base_s, "backoff_base_s")
+        require_positive(self.backoff_cap_s, "backoff_cap_s")
+        if self.backoff_cap_s < self.backoff_base_s:
             raise ConfigurationError(
                 "backoff must satisfy 0 < base <= cap"
             )
@@ -100,7 +102,5 @@ class ResilienceConfig:
             raise ConfigurationError("max_restarts must be >= 0")
         if self.stall_checks < 1:
             raise ConfigurationError("stall_checks must be >= 1")
-        if self.probe_interval_s <= 0.0:
-            raise ConfigurationError("probe_interval_s must be > 0")
-        if self.retry_after_s <= 0.0:
-            raise ConfigurationError("retry_after_s must be > 0")
+        require_positive(self.probe_interval_s, "probe_interval_s")
+        require_positive(self.retry_after_s, "retry_after_s")

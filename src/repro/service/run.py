@@ -345,11 +345,17 @@ def serve(
     """
     service = _build_service(config, options)
     try:
+        restored = (
+            f" restored_from={service.restored_from} "
+            f"resimulated_windows={service.resimulated_windows}"
+            if service.restored_from is not None
+            else ""
+        )
         announce(
             f"service: scenario={service.config.scenario} "
             f"servers={service.config.n_servers} "
             f"shadows={len(service.shadows)} "
-            f"resumed_windows={service.windows_closed}"
+            f"resumed_windows={service.windows_closed}{restored}"
         )
         asyncio.run(_run(service, options, announce))
     except BaseException:

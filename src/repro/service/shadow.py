@@ -23,10 +23,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from ..equiv import EquivReport, compare_traces
+from ..equiv import EquivReport, compare_metrics, fleet_server_metrics
 from ..errors import ConfigurationError
 from ..fleet.scenarios import fleet_scenario
-from ..runner import canonical_json
+from ..runner import TIMING_KEYS
+from ..telemetry.trace import Trace
 
 __all__ = [
     "ShadowSpec",
@@ -145,6 +146,40 @@ def topology_hash(
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
+class _TraceDigest:
+    """``sha256(canonical_json(trace))`` of a growing trace, formatting each
+    row once: the JSON text of every channel's rows already seen is kept,
+    and only new rows are encoded. Rows of a trace are never rewritten, so
+    the text stays valid until the trace is replaced (:meth:`reset`)."""
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        self._rows = 0
+        self._text: dict[str, bytearray] = {}
+
+    def hexdigest(self, trace: Trace) -> str:
+        n = len(trace)
+        if n < self._rows:
+            self.reset()
+        names = sorted(c for c in trace.channels if c not in TIMING_KEYS)
+        digest = hashlib.sha256(b'{"__trace__":{')
+        for k, name in enumerate(names):
+            text = self._text.setdefault(name, bytearray())
+            if n > self._rows:
+                new = json.dumps(trace[name][self._rows : n].tolist(), separators=(",", ":"))
+                if text:
+                    text += b","
+                text += new[1:-1].encode("ascii")
+            digest.update(f'{"," if k else ""}{json.dumps(name)}:['.encode("ascii"))
+            digest.update(text)
+            digest.update(b"]")
+        digest.update(b"}}")
+        self._rows = n
+        return digest.hexdigest()
+
+
 class TwinRunner:
     """One cumulative twin: a fleet simulation advanced window by window."""
 
@@ -177,6 +212,10 @@ class TwinRunner:
         self.fleet = sc.build_fleet(backend, n_servers, seed)
         self.fleet.set_budget(self.fleet.budget_w * budget_frac)
         self.windows_advanced = 0
+        # Derived from the fleet's history, never checkpointed: the digest's
+        # canonical text, and the equivalence metrics at a trace length.
+        self._digest = _TraceDigest()
+        self._metrics: tuple[int, list[dict[str, float]]] | None = None
 
     @classmethod
     def for_shadow(
@@ -217,11 +256,24 @@ class TwinRunner:
         self.fleet.run(n_windows * self.periods_per_window)
         self.windows_advanced += n_windows
 
+    def snapshot(self) -> dict:
+        """The fleet's state, with its history tables referenced by name
+        (the caller stores their rows; see :meth:`restore`)."""
+        tables = self.fleet.history_tables()
+        return self.fleet.snapshot({name: storage for name, (storage, _) in tables.items()})
+
+    def restore(self, state: dict, tables: dict, windows: int) -> None:
+        """Load a :meth:`snapshot` taken after ``windows`` windows, with the
+        rows of each history table it names."""
+        self.fleet.restore(state, tables=tables)
+        self.windows_advanced = windows
+        self._digest.reset()
+        self._metrics = None
+
     def digest(self) -> str:
-        """Canonical digest of the twin's full trace (timing excluded)."""
-        return hashlib.sha256(
-            canonical_json(self.fleet.trace).encode("utf-8")
-        ).hexdigest()
+        """Canonical digest of the twin's full trace (timing excluded):
+        ``sha256(canonical_json(trace))``."""
+        return self._digest.hexdigest(self.fleet.trace)
 
     def summary(self) -> dict:
         """The JSON-able cumulative answer for this twin."""
@@ -256,11 +308,23 @@ class TwinRunner:
         different operating point, not noise.
         """
         n = min(self.fleet.n_servers, deployed.fleet.n_servers)
-        return compare_traces(
-            [deployed.fleet.backend.server_trace(i) for i in range(n)],
-            [self.fleet.backend.server_trace(i) for i in range(n)],
+        return compare_metrics(
+            deployed.server_metrics()[:n],
+            self.server_metrics()[:n],
             scenario=f"shadow:{self.scenario}",
         )
+
+    def server_metrics(self) -> list[dict[str, float]]:
+        """:func:`repro.equiv.server_metrics` of every server, computed
+        once per committed trace length (the deployed twin's serve every
+        shadow's comparison)."""
+        rows = len(self.fleet.trace)
+        if self._metrics is None or self._metrics[0] != rows:
+            columns = self.fleet.backend.server_columns(
+                ("power_w", "set_point_w", "power_max_w")
+            )
+            self._metrics = (rows, fleet_server_metrics(*columns))
+        return self._metrics[1]
 
     def close(self) -> None:
         self.fleet.backend.close()

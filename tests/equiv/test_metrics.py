@@ -10,6 +10,7 @@ from repro.equiv import (
     EquivRow,
     ToleranceSpec,
     compare_traces,
+    fleet_server_metrics,
     server_metrics,
 )
 from repro.errors import ConfigurationError
@@ -57,6 +58,70 @@ class TestServerMetrics:
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigurationError):
             server_metrics(Trace(["power_w", "set_point_w", "power_max_w"]))
+
+
+def settle_by_loop(power, set_point, band_frac=SETTLE_BAND_FRAC):
+    """The settle scan as a backwards loop over the periods."""
+    err = power - set_point
+    inside = np.isfinite(err) & (np.abs(err) <= band_frac * np.abs(set_point))
+    settle = len(inside)
+    for k in range(len(inside) - 1, -1, -1):
+        if not inside[k]:
+            break
+        settle = k
+    return settle
+
+
+class TestFleetServerMetrics:
+    @staticmethod
+    def block(kind, periods=40, servers=5, seed=7):
+        rng = np.random.default_rng(seed)
+        set_point = rng.uniform(600.0, 1200.0, size=(periods, servers))
+        band = SETTLE_BAND_FRAC * set_point
+        if kind == "all-inside":
+            offset = rng.uniform(-0.9, 0.9, size=set_point.shape) * band
+        elif kind == "none-inside":
+            offset = rng.choice([-1.0, 1.0], size=set_point.shape) * band * 1.5
+        else:  # random, with NaN readings when kind == "nan"
+            offset = rng.uniform(-2.0, 2.0, size=set_point.shape) * band
+        power = set_point + offset
+        if kind == "nan":
+            power[rng.random(power.shape) < 0.1] = np.nan
+        peak = power + rng.uniform(0.0, 20.0, size=power.shape)
+        return power, set_point, peak
+
+    @pytest.mark.parametrize("kind", ["random", "all-inside", "none-inside", "nan"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_settle_scan_matches_the_loop(self, kind, seed):
+        power, set_point, peak = self.block(kind, seed=seed)
+        metrics = fleet_server_metrics(power, set_point, peak)
+        for i, m in enumerate(metrics):
+            want = settle_by_loop(power[:, i], set_point[:, i])
+            assert m["settle_periods"] == float(want)
+        if kind == "all-inside":
+            assert all(m["settle_periods"] == 0.0 for m in metrics)
+        if kind == "none-inside":
+            assert all(m["settle_periods"] == 40.0 for m in metrics)
+
+    @pytest.mark.parametrize("kind", ["random", "nan"])
+    def test_block_equals_per_server_traces_bit_for_bit(self, kind):
+        power, set_point, peak = self.block(kind)
+        traces = []
+        for i in range(power.shape[1]):
+            trace = Trace(["power_w", "set_point_w", "power_max_w"])
+            for row in zip(power[:, i], set_point[:, i], peak[:, i]):
+                trace.append_row(dict(zip(trace.channels, row)))
+            traces.append(trace)
+        from_block = fleet_server_metrics(power, set_point, peak)
+        from_traces = [server_metrics(t) for t in traces]
+        for got, want in zip(from_block, from_traces):
+            assert {k: np.float64(v).tobytes() for k, v in got.items()} == {
+                k: np.float64(v).tobytes() for k, v in want.items()
+            }
+
+    def test_empty_block_rejected(self):
+        with pytest.raises(ConfigurationError):
+            fleet_server_metrics(*(np.empty((0, 3)),) * 3)
 
 
 class TestCompareTraces:

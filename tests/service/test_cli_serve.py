@@ -136,6 +136,20 @@ class TestServeCommand:
         assert "window_s" in capsys.readouterr().err
         assert not journal_dir.exists()
 
+    @pytest.mark.parametrize("timeout, code", [("nan", 2), ("-1", 2), ("0", 0)])
+    def test_only_zero_idle_timeout_disables_the_deadline(
+        self, monkeypatch, capsys, timeout, code
+    ):
+        import io
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main(
+            ["serve", "--stdin", "--servers", "4", "--oneshot",
+             "--idle-timeout-s", timeout]
+        ) == code
+        if code:
+            assert "idle_timeout_s" in capsys.readouterr().err
+
     def test_requires_an_event_source(self, capsys):
         assert main(["serve", "--servers", "4", "--oneshot"]) == 2
         assert "no event source" in capsys.readouterr().err
@@ -151,6 +165,26 @@ class TestServeCommand:
         resumed = json.loads(capsys.readouterr().out)
         assert resumed["windows_closed"] == first["windows_closed"] == 2
         assert resumed["chain"] == first["chain"]
+
+    def test_resume_says_how_it_rebuilt_the_twins(self, tmp_path, trace_path, capsys):
+        journal_dir = tmp_path / "svc"
+        assert main(self.serve_args(trace_path, "--journal", str(journal_dir))) == 0
+        chain = json.loads(capsys.readouterr().out)["chain"]
+        resume = ["serve", "--resume", str(journal_dir), "--replay", str(trace_path),
+                  "--oneshot"]
+        assert main(resume) == 0
+        out, err = capsys.readouterr()
+        assert "restored_from=blob resimulated_windows=0" in err
+        assert json.loads(out)["chain"] == chain
+
+        history = journal_dir / "history.bin"
+        data = bytearray(history.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        history.write_bytes(bytes(data))
+        assert main(resume) == 0
+        out, err = capsys.readouterr()
+        assert "restored_from=wal resimulated_windows=2" in err
+        assert json.loads(out)["chain"] == chain
 
     def test_existing_journal_is_exit_2(self, tmp_path, trace_path, capsys):
         journal_dir = tmp_path / "svc"

@@ -234,6 +234,13 @@ class TestResilienceConfigValidation:
             {"stall_checks": 0},
             {"probe_interval_s": 0.0},
             {"retry_after_s": 0.0},
+            # NaN fails every comparison, so a "<= 0" test lets it through.
+            {"idle_timeout_s": float("nan")},
+            {"probe_interval_s": float("nan")},
+            {"retry_after_s": float("nan")},
+            {"backoff_base_s": float("nan")},
+            {"backoff_cap_s": float("nan")},
+            {"late_horizon_s": float("nan")},
         ],
     )
     def test_rejects(self, kwargs):

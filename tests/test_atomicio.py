@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -38,6 +39,18 @@ class TestAtomicWrite:
         target = tmp_path / "nested" / "deep" / "out.json"
         atomic_write_json(target, {"ok": True})
         assert json.loads(target.read_text()) == {"ok": True}
+
+    def test_fsyncs_the_temp_file_once_and_the_directory(self, tmp_path, monkeypatch):
+        calls = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        atomic_write_bytes(tmp_path / "blob.bin", b"payload")
+        assert len(calls) == 2
 
 
 class TestAtomicPath:
