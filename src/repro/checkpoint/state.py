@@ -38,6 +38,13 @@ plain tree above.
 Attribute and set iteration orders are made deterministic (sorted), so
 capturing the same state twice yields equal trees — the property the
 snapshot/restore round-trip tests are built on.
+
+Restore refuses a stale layout: an object or frozen-dataclass node that
+lacks an attribute its same-class target has raises
+:class:`~repro.errors.CheckpointError` naming the class and the
+attributes, because that attribute would silently keep its construction
+value. Attributes the node has and the target lacks still restore, so a
+blob written before a class dropped some state resumes.
 """
 
 from __future__ import annotations
@@ -238,6 +245,18 @@ def capture(*objects, tables: Mapping[str, np.ndarray] | None = None):
     return [cap.capture(obj) for obj in objects]
 
 
+def _require_state(node, target) -> None:
+    """Refuse a node that lacks state its same-class ``target`` has."""
+    missing = {name for name, _ in _state_items(target)}
+    missing.difference_update(attr for attr, _ in node["state"])
+    if missing:
+        raise CheckpointError(
+            f"checkpointed {node['cls']} lacks attribute(s) {sorted(missing)} "
+            "that its restore target has (state layout changed since the "
+            "checkpoint was written)"
+        )
+
+
 class _Restore:
     """One restore pass: node-id -> restored-object memo."""
 
@@ -387,6 +406,8 @@ class _Restore:
 
     def _restore_frozen(self, node, existing):
         cls = _resolve_class(node["cls"])
+        if type(existing) is cls:
+            _require_state(node, existing)
         inst = cls.__new__(cls)
         for attr, tag in node["state"]:
             value = self.restore(tag, getattr(existing, attr, None))
@@ -409,6 +430,7 @@ class _Restore:
                 )
             setstate(self.restore(node["custom"], None))
             return target
+        _require_state(node, target)
         for attr, tag in node["state"]:
             current = getattr(target, attr, None)
             value = self.restore(tag, current)

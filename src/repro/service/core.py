@@ -254,8 +254,9 @@ class DigitalTwinService:
         """Restore twin state from the checkpoint blob when its chain is one
         of the verified WAL entries and the history it records checks out;
         returns the windows it covers, 0 when it cannot be used (missing,
-        corrupt, foreign or written before ``history.bin`` existed): the
-        caller then re-simulates, the WAL is authoritative."""
+        corrupt, foreign, written before ``history.bin`` existed, or holding
+        a state layout the twins no longer have): the caller then
+        re-simulates, the WAL is authoritative."""
         if not journal.blob_path.exists():
             return 0
         try:
@@ -277,9 +278,16 @@ class DigitalTwinService:
         if read is None:
             return 0
         tables, self._history = read
-        self.deployed.restore(state["deployed"], tables["deployed"], m)
-        for name, shadow in self.shadows.items():
-            shadow.restore(state["shadows"][name], tables[name], m)
+        try:
+            self.deployed.restore(state["deployed"], tables["deployed"], m)
+            for name, shadow in self.shadows.items():
+                shadow.restore(state["shadows"][name], tables[name], m)
+        except CheckpointError:
+            # A stale layout can be refused after some twins were restored:
+            # start over from fresh twins and an empty history.bin.
+            self._replace_twins()
+            self._history = _HistoryEnd()
+            return 0
         journal.truncate_history(self._history.length)
         return m
 
@@ -468,6 +476,17 @@ class DigitalTwinService:
         the rebuilt digests against the last committed record, the same
         bit-identity gate a journal resume applies.
         """
+        self._replace_twins()
+        n_windows = len(self.records)
+        if n_windows:
+            self.deployed.advance(n_windows)
+            for shadow in self.shadows.values():
+                shadow.advance(n_windows)
+            self._check_twin_digests(self.records[-1])
+        self.rebuilds_total += 1
+
+    def _replace_twins(self) -> None:
+        """Close the twins and build fresh ones, at window 0."""
         self.deployed.close()
         for shadow in self.shadows.values():
             shadow.close()
@@ -479,13 +498,6 @@ class DigitalTwinService:
             config.seed,
             config.shadows,
         )
-        n_windows = len(self.records)
-        if n_windows:
-            self.deployed.advance(n_windows)
-            for shadow in self.shadows.values():
-                shadow.advance(n_windows)
-            self._check_twin_digests(self.records[-1])
-        self.rebuilds_total += 1
 
     def _file_in_cache(self, entry: dict) -> None:
         chain = entry["chain"]

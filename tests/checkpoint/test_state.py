@@ -129,6 +129,44 @@ class TestRoundTrip:
         assert out is dst and out.rebuilt and out.payload == {"k": 7}
 
 
+def strip(tag, kind, attr):
+    """``tag`` (a captured object or frozen node) without ``attr``."""
+    node = tag[kind]
+    node["state"] = [[k, v] for k, v in node["state"] if k != attr]
+    return tag
+
+
+class TestStrictLayout:
+    """A node that lacks state its same-class target has is refused; a node
+    with extra state restores."""
+
+    def test_object_missing_attribute_refused(self):
+        [tag] = capture(Widget([1, 2], tag="src"))
+        with pytest.raises(CheckpointError, match=r"Widget lacks attribute\(s\) \['tag'\]"):
+            restore([strip(tag, "__obj__", "tag")], [Widget([0])])
+
+    def test_frozen_missing_field_refused(self):
+        [tag] = capture(FrozenCfg(1.5, 3))
+        with pytest.raises(CheckpointError, match=r"FrozenCfg lacks attribute\(s\) \['steps'\]"):
+            restore([strip(tag, "__frozen__", "steps")], [FrozenCfg(0.0, 0)])
+
+    def test_extra_attribute_restores(self):
+        src = Widget([1, 2], tag="src")
+        src.extra = {"k": 1}
+        dst = Widget([0])
+        out = roundtrip(src, dst)
+        assert out is dst and out.values == [1, 2] and out.tag == "src"
+        assert out.extra == {"k": 1}
+
+    def test_fresh_reconstruction_is_not_checked(self):
+        # No same-class counterpart: the node builds a new object from
+        # whatever state it holds.
+        [tag] = capture({"w": Widget([1], tag="src")})
+        strip(tag["__dict__"]["items"][0][1], "__obj__", "tag")
+        [out] = restore([tag], [{}])
+        assert out["w"].values == [1] and not hasattr(out["w"], "tag")
+
+
 class TestErrors:
     def test_root_count_mismatch_raises(self):
         tags = capture([1])
