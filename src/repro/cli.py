@@ -533,6 +533,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             install_signal_handlers,
             shutdown_event,
         )
+        from .errors import CheckpointError
 
         flag = ShutdownFlag()
         kwargs = _checkpoint_kwargs(args, flag)
@@ -551,6 +552,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 )
                 print(json.dumps(event, sort_keys=True), file=sys.stderr)
                 return stop.exit_code
+            except CheckpointError as err:
+                # A corrupt or stale blob exits 2, as in sweep and serve.
+                print(f"run: {err}", file=sys.stderr)
+                return 2
         else:
             result = run_experiment(eid, seed=args.seed, **kwargs)
         print(result.render())

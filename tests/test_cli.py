@@ -186,6 +186,42 @@ class TestCheckpointedRunCli:
         assert code == 0
         assert capsys.readouterr().out == first  # resume of a done run: no-op
 
+    def resume_refused(self, ckpt, capsys):
+        code = main([
+            "run", "fig9", "--checkpoint-every", "20",
+            "--checkpoint-file", str(ckpt), "--resume",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        [line] = captured.err.splitlines()
+        return line
+
+    def test_garbage_checkpoint_refused(self, tmp_path, capsys, preserve_signal_handlers):
+        ckpt = tmp_path / "fig9.ckpt"
+        ckpt.write_bytes(b"not a checkpoint\n" * 4)
+        assert self.resume_refused(ckpt, capsys).startswith(
+            f"run: {ckpt}: not a repro checkpoint file"
+        )
+
+    def test_stale_layout_checkpoint_refused(
+        self, tmp_path, capsys, preserve_signal_handlers
+    ):
+        from repro.checkpoint.blob import build_blob, load_blob, save_blob
+
+        ckpt = tmp_path / "fig9.ckpt"
+        assert main([
+            "run", "fig9", "--checkpoint-every", "20",
+            "--checkpoint-file", str(ckpt),
+        ]) == 0
+        capsys.readouterr()
+        blob = load_blob(ckpt)
+        engine = blob["state"]["engine"]["__obj__"]
+        engine["state"] = [[k, v] for k, v in engine["state"] if k != "_stale_periods"]
+        save_blob(ckpt, build_blob(blob["state"], blob["created"], blob["summary"]))
+        line = self.resume_refused(ckpt, capsys)
+        assert line.startswith("run: checkpointed repro.sim.engine:ServerSimulation")
+        assert "['_stale_periods']" in line
+
 
 class TestFleetCli:
     def test_fleet_flags_parse(self):
