@@ -71,9 +71,9 @@ class ToleranceSpec:
 
 #: The fast engine's semantic contract. Calibrated on the registered
 #: static-load scenarios (mpc-static is the stressor: the analytic
-#: projected MPC solve vs the reference SLSQP iteration is the largest
-#: relaxation in the fast engine; a fixed-step bank reproduces the SoA
-#: bit for bit on these scenarios).
+#: projected MPC solve vs the reference SLSQP iteration is the only
+#: relaxation in the fast engine; fixed-step rows step through the SoA's
+#: own bank, so they reproduce the SoA bit for bit).
 TOLERANCES: tuple[ToleranceSpec, ...] = (
     ToleranceSpec(
         metric="power_err_w",

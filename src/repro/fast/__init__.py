@@ -1,11 +1,11 @@
 """Opt-in relaxed-semantics fast engine.
 
 Everything under ``repro.fast`` is allowed to change float semantics, and
-it relaxes two things: pre-solved MPC gains (one factorization reused
-across servers and ticks, plus pre-solved cap-projection caches) and
-vectorized controller banks that step a whole fleet's controllers as one
-array program. The fleet's tick is the SoA backend's, shared unchanged;
-``ParallelFleetBackend`` shards such a fleet over worker processes. The
+it relaxes one thing: pre-solved MPC gains (one factorization reused
+across servers and ticks, plus pre-solved cap-projection caches). The
+fleet's tick and its fixed-step bank are the SoA backend's, shared
+unchanged; ``ParallelFleetBackend`` shards such a fleet over worker
+processes. The
 reference engine stays untouched as ground truth; ``repro.equiv`` verifies
 the fast engine against it with explicit statistical tolerances
 (distributions of power error, cap violations and settle times), never

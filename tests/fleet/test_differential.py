@@ -8,7 +8,7 @@ Three layers of bit-for-bit equivalence, each pinned by canonical digests
    fleet engine changed no floats;
 2. the structure-of-arrays backend vs the reference backend (N scalar
    engines) on every SoA-capable registered scenario, at seed 0 and at a
-   nonzero seed;
+   nonzero seed, and on a fleet that mixes fixed-step and MPC rows;
 3. ``snapshot()``/``restore()`` mid-run vs an uninterrupted run.
 
 Fault-injection scenarios run under the ``chaos`` marker; the 256-server
@@ -16,6 +16,7 @@ smoke runs under ``fleet_smoke`` (both off by default, on in CI's
 fleet-equivalence job).
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -259,6 +260,36 @@ def test_soa_matches_reference_across_rapl_wrap():
         assert soa_backend._rapl_anchor_uj.tobytes() == ref_anchor.tobytes()
         assert (soa_backend._rapl_energy < start_uj).all()  # it wrapped
     assert fleet_digests(fleets[0]) == fleet_digests(fleets[1])
+
+
+def test_mixed_fleet_soa_matches_reference():
+    """``demand-static`` with every third row on MPC: the SoA steps the
+    fixed-step rows as a bank and the MPC rows through controller objects,
+    the reference backend every row through its own object."""
+    scenario = fleet_scenario("demand-static")
+    n = 8
+    specs = [
+        dataclasses.replace(s, controller="mpc") if i % 3 == 0 else s
+        for i, s in enumerate(scenario.specs(n))
+    ]
+    fleets = [
+        FleetSimulation(
+            backend,
+            budget_w=scenario.budget_w(n),
+            allocation=scenario.allocation(n),
+            periods_per_rack_period=scenario.periods_per_rack_period,
+        )
+        for backend in (
+            ReferenceBackend([build_scalar_twin(s) for s in specs]),
+            SoaFleetBackend(specs),
+        )
+    ]
+    for fleet in fleets:
+        fleet.run(2)
+        fleet.set_budget(fleet.budget_w * 0.97)
+        fleet.run(2)
+    ref, soa = fleets
+    assert fleet_digests(ref) == fleet_digests(soa)
 
 
 def test_soa_trace_channels_match_engine_layout():

@@ -95,7 +95,8 @@ class TestStepping:
 
         backend = SoaFleetBackend(scenario.specs(2))
         backend.run_periods(0)
-        assert not backend._started
+        assert (backend.period_index, backend.time_s) == (0, 0.0)
+        assert backend._pending is None  # no command staged
         with pytest.raises(ConfigurationError):
             backend.last_powers()
 

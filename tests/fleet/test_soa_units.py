@@ -42,6 +42,30 @@ class TestSpec:
         with pytest.raises(ConfigurationError):
             spec(controller="pid").build_controller()
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"step_size": 0},
+            {"deadband_w": -1.0},
+            {"controller": "safe-fixed-step", "safety_margin_w": 0.0},
+        ],
+    )
+    def test_invalid_controller_parameters_rejected(self, bad):
+        # The SoA never builds fixed-step controller objects, so the spec
+        # makes their constructors' checks itself.
+        with pytest.raises(ConfigurationError):
+            spec(**bad)
+
+    @pytest.mark.parametrize("kind", ["fixed-step", "safe-fixed-step", "mpc"])
+    def test_every_kind_starts_at_f_min(self, kind):
+        """The SoA stages no initial targets: its ``_tgt`` starts at f_min,
+        which must be what every kind's ``initial_targets`` returns."""
+        be = SoaFleetBackend([spec(controller=kind)])
+        ctl = spec(controller=kind).build_controller()
+        start = ctl.initial_targets(be._f_min.copy(), be._f_max.copy())
+        assert np.asarray(start, dtype=np.float64).tobytes() == be._f_min.tobytes()
+        assert be._tgt.tobytes() == be._f_min[None].tobytes()
+
 
 class TestValidation:
     def test_empty_fleet_rejected(self):
