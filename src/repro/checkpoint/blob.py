@@ -8,8 +8,10 @@ A checkpoint on disk is::
 
 The body is a plain dict (``format``/``schema_version``/``repro_version``
 headers, a human-inspectable ``summary``, and the tagged ``state`` tree
-produced by :mod:`repro.checkpoint.state`). The digest line lets ``load``
-reject corruption before unpickling; writes go through
+produced by :mod:`repro.checkpoint.state`). Schema 2 captures each random
+generator as one node; a body of any other schema, schema 1's walked
+generator states included, is refused before any restore. The digest line
+lets ``load`` reject corruption before unpickling; writes go through
 :func:`repro.atomicio.atomic_write_bytes`, so a crash mid-save leaves the
 previous checkpoint intact rather than a torn file.
 
@@ -39,7 +41,7 @@ __all__ = [
 ]
 
 FORMAT = "repro-checkpoint"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 MAGIC = b"REPROCKPT1"
 
 _REQUIRED_KEYS = ("format", "schema_version", "repro_version", "created", "summary", "state")

@@ -28,8 +28,10 @@ pins this):
 * an elementwise IEEE operation gives the same bits on a block as on one
   column, and ``+`` and ``*`` commute bit for bit, so the block steps
   (some of them in place) keep each expression's operation order;
-* noise streams are per-server :class:`~repro.rng.BlockSampler` prefetches —
-  batch draws consume each generator stream identically to scalar draws;
+* each noise stream (wall, meter, NVML) is one ``_NoiseBank``, whose
+  refills draw each server's generator in the block multiples a per-server
+  block sampler of :mod:`repro.rng` would; batch draws consume a generator
+  stream identically to scalar draws;
 * sums that the scalar engine accumulates left-to-right (per-channel plant
   power, GPU board sum, preproc cores, demand pressure) run over fewer than
   8 elements (the constructor refuses more than 6 GPUs) and are explicit
@@ -97,7 +99,7 @@ from ..control.fixed_step import (
 )
 from ..errors import ActuationError, ConfigurationError
 from ..hardware.presets import v100_server
-from ..rng import BlockSampler, spawn
+from ..rng import spawn
 from ..sim.engine import (
     _CONTROLLER_CORE_UTIL,
     _FREEZE_DETECT_SAMPLES,
@@ -267,6 +269,40 @@ def _sum_rows(block: np.ndarray) -> np.ndarray:
     return total
 
 
+class _NoiseBank:
+    """One normal noise stream of every server: the servers' generators,
+    their latest refill as one ``(n, fill)`` buffer, and one cursor.
+
+    The fleet ticks in lockstep, so every server's stream sits at the same
+    position and a take is one column slice. A refill draws ``size=fill``
+    from each server's own generator, ``fill`` the block multiple that a
+    per-server block sampler's ``take`` would draw (:mod:`repro.rng`), so
+    each stream is consumed exactly as that sampler consumes it.
+    """
+
+    def __init__(self, rngs: list[np.random.Generator], sigma: float, block: int = 256):
+        self._rngs = rngs
+        self._sigma = float(sigma)
+        self._block = block
+        self._buf = np.empty((len(rngs), 0), dtype=np.float64)
+        self._i = 0
+
+    def take(self, k: int) -> np.ndarray:
+        """Every server's next ``k`` samples, shaped ``(n, k)``."""
+        buf, i = self._buf, self._i
+        end = i + k
+        if end <= buf.shape[1]:
+            self._i = end
+            return buf[:, i:end]
+        need = end - buf.shape[1]
+        fill = -(-need // self._block) * self._block
+        self._buf = np.array(
+            [rng.normal(0.0, self._sigma, size=fill) for rng in self._rngs]
+        )
+        self._i = need
+        return np.concatenate((buf[:, i:], self._buf[:, :need]), axis=1)
+
+
 def _server_states(
     last: np.ndarray | None,
     chan_index: dict[str, int],
@@ -379,23 +415,13 @@ class SoaFleetBackend(FleetBackend):
         noise_sigma = proto.noise._sigma
         self._rapl_range_uj = 262_143_328_850  # SimulatedRapl default
 
-        # -- per-server RNG streams (same spawn names as the scalar engine) -
-        self._wall_noise = [
-            BlockSampler(spawn(s.seed, "server-wall-noise"), "normal", (0.0, noise_sigma))
-            for s in specs
-        ]
-        self._meter_noise = [
-            BlockSampler(
-                spawn(s.seed, "acpi-meter-noise"),
-                "normal",
-                (0.0, config.meter_noise_sigma_w),
-            )
-            for s in specs
-        ]
-        self._nvml_noise = [
-            BlockSampler(spawn(s.seed, "nvml-noise"), "normal", (0.0, 1.0))
-            for s in specs
-        ]
+        # -- noise streams, one bank each (same spawn names as the scalar engine)
+        def bank(name: str, sigma: float) -> _NoiseBank:
+            return _NoiseBank([spawn(s.seed, name) for s in specs], sigma)
+
+        self._wall_noise = bank("server-wall-noise", noise_sigma)
+        self._meter_noise = bank("acpi-meter-noise", config.meter_noise_sigma_w)
+        self._nvml_noise = bank("nvml-noise", 1.0)
 
         # -- controllers: the fixed-step bank, objects for the MPC rows ------
         is_mpc = np.array([s.controller == "mpc" for s in specs])
@@ -548,10 +574,10 @@ class SoaFleetBackend(FleetBackend):
         ticks = cfg.ticks_per_period
         spp = cfg.samples_per_period
 
-        # Per-period noise prefetch: one block per server per stream,
-        # consuming each generator exactly as the scalar components would.
-        wall = np.array([s.take(ticks) for s in self._wall_noise]).T
-        meter_noise = np.array([s.take(spp) for s in self._meter_noise])
+        # Per-period noise: one slice per stream, consuming each server's
+        # generator exactly as the scalar components would.
+        wall = self._wall_noise.take(ticks).T
+        meter_noise = self._meter_noise.take(spp)
 
         # The scalar clocks keep their per-tick float adds. Each time the
         # meter's window clock fires (shared clock: the fleet ticks in
@@ -779,7 +805,7 @@ class SoaFleetBackend(FleetBackend):
 
         # NVML board powers: model power at the *clamped* utilization, plus
         # per-query noise, through the watts→mw→watts round trip.
-        nvml = np.array([s.take(n_gpus) for s in self._nvml_noise])
+        nvml = self._nvml_noise.take(n_gpus)
         gpu_power = np.empty((n, n_gpus), dtype=np.float64)
         for g in range(n_gpus):
             c = 1 + g

@@ -83,10 +83,19 @@ def generator_state(rng: np.random.Generator) -> dict:
     }
 
 
-def set_generator_state(rng: np.random.Generator, state: dict) -> np.random.Generator:
-    """Load a :func:`generator_state` snapshot into ``rng`` in place."""
-    have = type(rng.bit_generator).__name__
+def set_generator_state(
+    rng: np.random.Generator | None, state: dict
+) -> np.random.Generator:
+    """Load a :func:`generator_state` snapshot into ``rng`` in place, or
+    into a new generator of the snapshot's bit generator when ``rng`` is
+    None; returns the generator."""
     want = state["bitgen"]
+    if rng is None:
+        bitgen = getattr(np.random, want, None)
+        if bitgen is None:
+            raise ValueError(f"unknown bit generator {want!r}")
+        rng = np.random.Generator(bitgen())
+    have = type(rng.bit_generator).__name__
     if have != want:
         raise ValueError(f"bit generator mismatch: have {have}, snapshot is {want}")
     rng.bit_generator.state = state["state"]

@@ -62,6 +62,21 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="unsupported checkpoint schema"):
             load_blob(path)
 
+    def test_schema_1_blob_rejected(self, tmp_path):
+        # Written by hand: save_blob validates. Schema 1 walked each
+        # generator's state dict; this build reads only the one-node form.
+        body = small_blob()
+        body["schema_version"] = 1
+        raw = pickle.dumps(body)
+        digest = hashlib.sha256(raw).hexdigest().encode("ascii")
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(MAGIC + b"\n" + digest + b"\n" + raw)
+        with pytest.raises(
+            CheckpointError,
+            match=r"unsupported checkpoint schema version 1 \(this build reads version 2\)",
+        ):
+            load_blob(path)
+
     def test_validate_requires_schema_keys(self):
         with pytest.raises(CheckpointError, match="missing keys"):
             validate_blob({"format": "repro-checkpoint"})

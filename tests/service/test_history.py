@@ -2,12 +2,13 @@
 each resume path rebuilds the twins from it."""
 
 import hashlib
+import pickle
 import shutil
 import warnings
 
 import pytest
 
-from repro.checkpoint.blob import build_blob, load_blob, save_blob
+from repro.checkpoint.blob import MAGIC, SCHEMA_VERSION, build_blob, load_blob, save_blob
 from repro.runner import canonical_json
 from repro.service import (
     DigitalTwinService,
@@ -253,4 +254,22 @@ class TestStaleLayout:
         history = load_blob(path)["summary"]["history"]
         data = (directory / "history.bin").read_bytes()
         assert history["sha256"] == hashlib.sha256(data).hexdigest()
+        continue_to_straight_chain(service, straight_chains)
+
+    def test_schema_1_blob_resimulates(self, tmp_path, straight_chains):
+        """A blob of schema 1 (generator states walked as dicts) is refused
+        before any restore; the twins are rebuilt from the WAL and the blob
+        is rewritten at the current schema."""
+        directory = tmp_path / "svc"
+        journalled(directory, RESUMED_AT).close()
+        path = directory / "twin.ckpt"
+        blob = load_blob(path)
+        blob["schema_version"] = 1  # by hand: save_blob refuses schema 1
+        body = pickle.dumps(blob)
+        digest = hashlib.sha256(body).hexdigest().encode("ascii")
+        path.write_bytes(MAGIC + b"\n" + digest + b"\n" + body)
+
+        service = resume(directory)
+        assert (service.restored_from, service.resimulated_windows) == ("wal", RESUMED_AT)
+        assert load_blob(path)["schema_version"] == SCHEMA_VERSION
         continue_to_straight_chain(service, straight_chains)
