@@ -57,6 +57,28 @@ class TestSnapshotRestore:
         )
         assert trace_bytes(trace_c) == trace_bytes(trace_a)
 
+    def test_grown_trace_buffer_restores(self, tmp_path):
+        """A blob whose trace buffer grew past a fresh run's capacity
+        restores at the captured capacity."""
+        sim_a, ctl_a, ev_a = make_capgpu_run()
+        trace_a = sim_a.run(ctl_a, TOTAL, events=ev_a)
+
+        sim_b, ctl_b, ev_b = make_capgpu_run()
+        sim_b.run(ctl_b, SPLIT, events=ev_b)
+        sim_b.trace._grow()  # as appending past its capacity would
+        capacity = sim_b.trace._data.shape[0]
+        path = tmp_path / "run.ckpt"
+        save_blob(path, sim_b.snapshot(ctl_b, ev_b))
+
+        sim_c, ctl_c, ev_c = make_capgpu_run()
+        assert sim_c.trace._data.shape[0] < capacity
+        sim_c.restore(load_blob(path), controller=ctl_c, events=ev_c)
+        assert sim_c.trace._data.shape[0] == capacity
+        trace_c = sim_c.run(
+            ctl_c, TOTAL - SPLIT, events=ev_c, apply_initial_targets=False
+        )
+        assert trace_bytes(trace_c) == trace_bytes(trace_a)
+
     def test_summary_is_inspectable(self):
         sim, ctl, ev = make_capgpu_run()
         sim.run(ctl, SPLIT, events=ev)
