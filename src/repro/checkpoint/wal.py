@@ -19,12 +19,12 @@ import hashlib
 import json
 from collections.abc import Iterator
 from pathlib import Path
-from typing import BinaryIO, ClassVar, TypeVar
+from typing import Any, BinaryIO, ClassVar, TypeVar
 
 from ..atomicio import atomic_write_json, fsync_dir, fsync_file
 from ..errors import CheckpointError
 
-__all__ = ["GENESIS_CHAIN", "MANIFEST_NAME", "Journal", "chain_digest"]
+__all__ = ["GENESIS_CHAIN", "MANIFEST_NAME", "Journal", "chain_digest", "manifest_field"]
 
 MANIFEST_NAME = "manifest.json"
 
@@ -38,6 +38,32 @@ def chain_digest(prev_chain: str, entry_body: dict) -> str:
     """The WAL hash chain: sha256 over the previous link + this body."""
     body = json.dumps(entry_body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256((prev_chain + "\n" + body).encode("utf-8")).hexdigest()
+
+
+Kind = type | tuple[type, ...]
+
+
+def _is_a(value: object, kind: Kind) -> bool:
+    # A JSON true/false is no number: no manifest field is a bool.
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def manifest_field(
+    manifest: dict, name: str, kind: Kind, items: Kind | None = None, *, section: str = ""
+) -> Any:
+    """``manifest[name]``, refused with :class:`~repro.errors.CheckpointError`
+    naming the field (``section`` + ``name``) when it is missing or not a
+    ``kind``, or, given ``items``, is a list holding anything else."""
+    field = section + name
+    if name not in manifest:
+        raise CheckpointError(f"journal manifest lacks field {field!r}")
+    value = manifest[name]
+    listed = value if items is not None and isinstance(value, list) else []
+    if not _is_a(value, kind) or not all(_is_a(v, items) for v in listed):
+        raise CheckpointError(
+            f"journal manifest field {field!r} has the wrong type: {value!r:.60}"
+        )
+    return value
 
 
 J = TypeVar("J", bound="Journal")

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..checkpoint.blob import build_blob, load_blob, save_blob
+from ..checkpoint.wal import manifest_field
 from ..errors import CheckpointError, ConfigurationError
 from ..faults.network import InjectedTwinCrash, ServiceFaultBank
 from ..units import require_positive
@@ -76,16 +77,21 @@ class ServiceConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ServiceConfig":
+        """The configuration a journal manifest's ``config`` mapping records;
+        a missing or wrong-typed field is a :class:`CheckpointError`."""
+
+        def read(name: str, kind, items=None):
+            return manifest_field(data, name, kind, items, section="config.")
+
         config = cls(
-            scenario=str(data["scenario"]),
-            n_servers=int(data["n_servers"]),
-            window_s=float(data["window_s"]),
-            periods_per_window=int(data["periods_per_window"]),
-            seed=int(data["seed"]),
-            shadows=tuple(parse_shadow_spec(s) for s in data.get("shadows", [])),
+            scenario=read("scenario", str),
+            n_servers=read("n_servers", int),
+            window_s=float(read("window_s", (int, float))),
+            periods_per_window=read("periods_per_window", int),
+            seed=read("seed", int),
+            shadows=tuple(parse_shadow_spec(s) for s in read("shadows", list, str)),
         )
-        recorded = data.get("topology_hash")
-        if recorded is not None and recorded != config.topology_hash:
+        if read("topology_hash", str) != config.topology_hash:
             raise CheckpointError(
                 "service manifest topology hash does not match the "
                 "configuration this build rebuilds — resume would not be "

@@ -307,6 +307,51 @@ class TestServeCommand:
         assert "plan" in capsys.readouterr().err
 
 
+#: A wrong-typed value for each field of a service manifest's config;
+#: list fields also get a list holding a wrong-typed item.
+MANIFEST_FIELDS = {
+    "scenario": (5,),
+    "n_servers": ("four", True),
+    "window_s": ("1s",),
+    "periods_per_window": (1.5,),
+    "seed": ("zero",),
+    "shadows": ("cap=80", [80]),
+    "topology_hash": (7,),
+}
+
+
+class TestMalformedManifest:
+    """``serve --resume`` on a manifest with a missing or wrong-typed config
+    field is exit 2 with one stderr line naming the field."""
+
+    @pytest.mark.parametrize("damage", ["missing", "wrong-type"])
+    @pytest.mark.parametrize("field", sorted(MANIFEST_FIELDS))
+    def test_refused_naming_the_field(self, tmp_path, trace_path, capsys, field, damage):
+        from repro.service import ServiceConfig, ServiceJournal
+
+        journal_dir = tmp_path / "svc"
+        ServiceJournal.create(journal_dir, ServiceConfig(n_servers=2).to_dict())
+        manifest = journal_dir / "manifest.json"
+        intact = json.loads(manifest.read_text())
+        values = (None,) if damage == "missing" else MANIFEST_FIELDS[field]
+        for value in values:
+            data = json.loads(json.dumps(intact))
+            if damage == "missing":
+                del data["config"][field]
+            else:
+                data["config"][field] = value
+            manifest.write_text(json.dumps(data))
+            code = main(
+                ["serve", "--resume", str(journal_dir), "--replay", str(trace_path),
+                 "--oneshot"]
+            )
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, ""), value
+            [line] = err.splitlines()
+            assert line.startswith("serve: journal manifest "), line
+            assert f"'config.{field}'" in line, line
+
+
 @pytest.mark.chaos
 class TestSignalExitCodes:
     def test_double_sigint_is_exit_130(self, tmp_path):
