@@ -79,19 +79,17 @@ class BudgetNode:
         return out
 
 
-def _aggregate(node: BudgetNode, states: list[ServerPowerState]) -> ServerPowerState:
-    """The state a power manager one level up observes for ``node``.
+def _aggregate(node: BudgetNode, subs: list[ServerPowerState]) -> ServerPowerState:
+    """The state a power manager one level up observes for interior
+    ``node``, from its children's states ``subs`` (a leaf child's is its
+    server state, untouched; the flat-tree equivalence relies on this).
 
-    A leaf passes its server state through untouched (the flat-tree
-    equivalence relies on this). An interior node sums draw and envelope,
-    weighs demand by each child's controllable span (a big rack's demand
-    counts proportionally; spanless children fall back to a plain mean) and
-    exposes the subtree's highest priority, so a priority policy above never
-    starves a subtree holding high-priority servers.
+    Draw and envelope are summed, demand is weighed by each child's
+    controllable span (a big rack's demand counts proportionally; spanless
+    children fall back to a plain mean) and the subtree's highest priority
+    is exposed, so a priority policy above never starves a subtree holding
+    high-priority servers.
     """
-    if node.is_leaf:
-        return states[node.leaf_index]
-    subs = [_aggregate(child, states) for child in node.children]
     p_min = sum_in_order(s.p_min_w for s in subs)
     p_max = sum_in_order(s.p_max_w for s in subs)
     power = sum_in_order(s.power_w for s in subs)
@@ -110,6 +108,24 @@ def _aggregate(node: BudgetNode, states: list[ServerPowerState]) -> ServerPowerS
         demand=demand,
         priority=priority,
     )
+
+
+def _file_views(
+    node: BudgetNode,
+    states: list[ServerPowerState],
+    views: dict[BudgetNode, list[ServerPowerState]],
+) -> None:
+    """File under interior ``node`` the states its allocator divides among:
+    one per child, each interior child's aggregated from its own filed
+    views. Bottom-up, so each subtree is aggregated once per round."""
+    subs = []
+    for child in node.children:
+        if child.is_leaf:
+            subs.append(states[child.leaf_index])
+        else:
+            _file_views(child, states, views)
+            subs.append(_aggregate(child, views[child]))
+    views[node] = subs
 
 
 class BudgetTree:
@@ -200,24 +216,25 @@ class BudgetTree:
             raise ConfigurationError(
                 f"expected {self.n_servers} states, got {len(states)}"
             )
+        views: dict[BudgetNode, list[ServerPowerState]] = {}
+        _file_views(self.root, states, views)
         out: list[float] = [0.0] * self.n_servers
-        self._descend(self.root, float(budget_w), states, out)
+        self._descend(self.root, float(budget_w), views, out)
         return out
 
     def _descend(
         self,
         node: BudgetNode,
         budget_w: float,
-        states: list[ServerPowerState],
+        views: dict[BudgetNode, list[ServerPowerState]],
         out: list[float],
     ) -> None:
         if node.is_leaf:
             out[node.leaf_index] = budget_w
             return
-        aggregates = [_aggregate(child, states) for child in node.children]
-        shares = node.allocator.allocate(budget_w, aggregates)
+        shares = node.allocator.allocate(budget_w, views[node])
         for child, share in zip(node.children, shares):
-            self._descend(child, share, states, out)
+            self._descend(child, share, views, out)
 
     def describe(self) -> str:
         """One-line-per-node rendering (diagnostics and docs)."""

@@ -12,6 +12,7 @@ leaf lands exactly on its minimum).
 
 import math
 import warnings
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from repro.cluster import (
 )
 from repro.errors import BudgetShortfallWarning, ConfigurationError
 from repro.fleet import BudgetNode, BudgetTree
+from repro.fleet import tree as tree_module
 
 import pytest
 
@@ -116,6 +118,80 @@ def test_property_tree_respects_leaf_envelopes(case, shape):
         assert len(alloc) == len(states)
         for a, s in zip(alloc, states):
             assert s.p_min_w - 1e-6 <= a <= s.p_max_w + 1e-6
+
+
+# -- one aggregate per subtree per round --------------------------------------
+
+
+def interior_nodes_below_root(tree):
+    stack, count = list(tree.root.children), 0
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            count += 1
+            stack.extend(node.children)
+    return count
+
+
+def count_aggregates(tree, budget, states):
+    """``(budgets, _aggregate calls)`` of one ``allocate``."""
+    with mock.patch.object(
+        tree_module, "_aggregate", wraps=tree_module._aggregate
+    ) as spy:
+        budgets = tree.allocate(budget, states)
+    return budgets, spy.call_count
+
+
+def reaggregating_allocate(tree, budget, states):
+    """The descent as it was before each subtree was aggregated once per
+    round: every level re-aggregates each child subtree from its leaves,
+    with the same operands in the same order."""
+
+    def aggregate(node):
+        if node.is_leaf:
+            return states[node.leaf_index]
+        return tree_module._aggregate(node, [aggregate(c) for c in node.children])
+
+    out = [0.0] * len(states)
+
+    def descend(node, budget_w):
+        if node.is_leaf:
+            out[node.leaf_index] = budget_w
+            return
+        shares = node.allocator.allocate(budget_w, [aggregate(c) for c in node.children])
+        for child, share in zip(node.children, shares):
+            descend(child, share)
+
+    descend(tree.root, float(budget))
+    return out
+
+
+@given(fleet_case(), tree_shape())
+@settings(max_examples=60, deadline=None)
+def test_property_each_subtree_is_aggregated_once_per_round(case, shape):
+    """One ``_aggregate`` per interior node below the root (leaves pass
+    their state through, the root's aggregate is never needed), and the
+    budgets of the descent that re-aggregated each level, bit for bit."""
+    states, budget = case
+    spr, rpr = shape
+    for factory in ALLOCATOR_FACTORIES:
+        tree = BudgetTree.uniform(
+            factory, len(states), servers_per_rack=spr, racks_per_row=rpr
+        )
+        budgets, calls = count_aggregates(tree, budget, states)
+        assert calls == interior_nodes_below_root(tree)
+        assert budgets == reaggregating_allocate(tree, budget, states)
+
+
+@pytest.mark.parametrize("n, interior", [(8, 3), (1024, 384)])
+def test_tree_static_round_aggregates(n, interior):
+    """The ``tree-static`` shape (4 servers per rack, 2 racks per row): 2
+    racks and a row at 8 servers; 256 racks and 128 rows at 1024."""
+    tree = BudgetTree.uniform(FairShareAllocator, n, servers_per_rack=4, racks_per_row=2)
+    states = make_states([(600.0 + i % 7, 1300.0, (i % 5) / 4, 0) for i in range(n)])
+    budgets, calls = count_aggregates(tree, 730.0 * n, states)
+    assert calls == interior_nodes_below_root(tree) == interior
+    assert budgets == reaggregating_allocate(tree, 730.0 * n, states)
 
 
 # -- shortfall behavior -------------------------------------------------------
