@@ -1,8 +1,8 @@
 """The digital-twin service core, plus its offline one-shot counterpart.
 
 :class:`DigitalTwinService` ties the layers together: events feed the
-window manager; every window the watermark closes advances the deployed
-twin and every configured shadow twin one step, computes the
+window manager; every window the watermark closes advances the banks of
+the deployed twin and every configured shadow twin one step, computes the
 shadow-vs-deployed equivalence deltas, journals the result to the WAL
 (hash-chained), appends the twins' new history rows to ``history.bin``
 and refreshes the fixed-size checkpoint blob, and files the answers in
@@ -33,7 +33,16 @@ from .cache import ResultCache
 from .events import Event, parse_event
 from .journal import GENESIS_CHAIN, ServiceJournal, chain_digest
 from .resilience.health import HealthMonitor
-from .shadow import ShadowSpec, TwinRunner, parse_shadow_spec, topology_hash
+from .shadow import (
+    ShadowSpec,
+    TwinBank,
+    TwinRunner,
+    bank_twins,
+    parse_shadow_spec,
+    restore_twins,
+    snapshot_twins,
+    topology_hash,
+)
 from .windows import ClosedWindow, WindowManager
 
 __all__ = ["ServiceConfig", "DigitalTwinService", "offline_whatif"]
@@ -125,17 +134,21 @@ def _build_twins(
     periods_per_window: int,
     seed: int,
     shadows: tuple[ShadowSpec, ...],
-) -> tuple[TwinRunner, dict[str, TwinRunner]]:
-    """The deployed twin and one shadow twin per spec, keyed by spec name."""
+) -> tuple[TwinRunner, dict[str, TwinRunner], list[TwinBank]]:
+    """The deployed twin, one shadow twin per spec keyed by spec name, and
+    the banks they step in (:func:`~repro.service.shadow.bank_twins`, the
+    deployed twin first, then the shadows by name)."""
     deployed = TwinRunner(
         scenario, n_servers, periods_per_window=periods_per_window, seed=seed
     )
-    return deployed, {
+    twins = {
         spec.name: TwinRunner.for_shadow(
             spec, scenario, n_servers, periods_per_window, seed
         )
         for spec in shadows
     }
+    banks = bank_twins([deployed, *(twin for _, twin in sorted(twins.items()))])
+    return deployed, twins, banks
 
 
 def _shadow_answer(shadow: TwinRunner, deployed: TwinRunner) -> dict:
@@ -187,7 +200,7 @@ class DigitalTwinService:
     ):
         self.config = config
         self.journal = journal
-        self.deployed, self.shadows = _build_twins(
+        self.deployed, self.shadows, self.banks = _build_twins(
             config.scenario,
             config.n_servers,
             config.periods_per_window,
@@ -242,9 +255,8 @@ class DigitalTwinService:
         restored = self._restore_from_blob(journal, entries)
         self.restored_from = "blob" if restored else "wal"
         self.resimulated_windows = n - restored
-        self.deployed.advance(n - restored)
-        for shadow in self.shadows.values():
-            shadow.advance(n - restored)
+        for bank in self.banks:
+            bank.advance(n - restored)
         # Whichever path restored the twins, they must reproduce the
         # journaled digests exactly.
         self._check_twin_digests(entries[-1])
@@ -277,7 +289,7 @@ class DigitalTwinService:
             or not isinstance(m, int)
             or not 0 < m <= len(entries)
             or summary.get("chain") != entries[m - 1]["chain"]
-            or set(state.get("shadows", {})) != set(self.shadows)
+            or list(state.get("twins", {})) != list(self._twins())
         ):
             return 0
         read = self._read_history(journal, history, m)
@@ -285,11 +297,9 @@ class DigitalTwinService:
             return 0
         tables, self._history = read
         try:
-            self.deployed.restore(state["deployed"], tables["deployed"], m)
-            for name, shadow in self.shadows.items():
-                shadow.restore(state["shadows"][name], tables[name], m)
+            restore_twins(state["twins"], self._twins(), tables, m)
         except CheckpointError:
-            # A stale layout can be refused after some twins were restored:
+            # A stale layout can be refused after some nodes were restored:
             # start over from fresh twins and an empty history.bin.
             self._replace_twins()
             self._history = _HistoryEnd()
@@ -297,24 +307,32 @@ class DigitalTwinService:
         journal.truncate_history(self._history.length)
         return m
 
+    def _twins(self) -> dict[str, TwinRunner]:
+        """Every twin by name: the deployed twin, then the shadows by name
+        (the order of the blob's state and of ``history.bin`` records)."""
+        return {"deployed": self.deployed, **dict(sorted(self.shadows.items()))}
+
     def _history_layout(self) -> list[tuple[str, str, np.ndarray, int]]:
-        """``(twin, table, storage, rows)`` for every history table, in the
-        order of a ``history.bin`` record: the deployed twin, then the
-        shadows by name; each twin's tables by name."""
-        twins = [("deployed", self.deployed), *sorted(self.shadows.items())]
-        return [
-            (twin_name, table, storage, rows)
-            for twin_name, twin in twins
-            for table, (storage, rows) in sorted(twin.fleet.history_tables().items())
+        """``(owner, table, storage, rows)`` for every history table, in the
+        order of a ``history.bin`` record: each twin's fleet ``trace``, then
+        each bank's backend tables by name (``soa`` on an SoA bank), the
+        banks named ``bank0``, ``bank1``, ... in :attr:`banks` order."""
+        layout = [
+            (name, "trace", *twin.fleet.history_tables()["trace"])
+            for name, twin in self._twins().items()
         ]
+        for k, bank in enumerate(self.banks):
+            for table, (storage, rows) in sorted(bank.fleets.backend.history_tables().items()):
+                layout.append((f"bank{k}", table, storage, rows))
+        return layout
 
     def _read_history(
         self, journal: ServiceJournal, history: dict, windows: int
-    ) -> tuple[dict[str, dict[str, np.ndarray]], _HistoryEnd] | None:
-        """Each twin's history tables after ``windows`` windows, read back
-        from ``history.bin``, and where that history ends, when the file's
-        prefix matches the blob's record (length, sha256, table names and
-        row counts); else None.
+    ) -> tuple[dict[str, np.ndarray], _HistoryEnd] | None:
+        """Every history table after ``windows`` windows, keyed
+        ``"{owner}/{table}"`` and read back from ``history.bin``, and where
+        that history ends, when the file's prefix matches the blob's record
+        (length, sha256, owners, table names and row counts); else None.
 
         The file is one record per window; a record holds every table's
         rows of that window in :meth:`_history_layout` order.
@@ -322,7 +340,7 @@ class DigitalTwinService:
         layout = self._history_layout()
         recorded = history.get("tables")
         if not isinstance(recorded, list) or [r[:2] for r in recorded] != [
-            [twin, table] for twin, table, _, _ in layout
+            [owner, table] for owner, table, _, _ in layout
         ]:
             return None
         widths = []
@@ -341,10 +359,12 @@ class DigitalTwinService:
             return None
         records = np.frombuffer(data, dtype=np.uint8).reshape(windows, -1)
         blocks = np.split(records, np.cumsum(widths)[:-1], axis=1)
-        tables: dict[str, dict[str, np.ndarray]] = {}
-        for (twin, table, storage, _), (_, _, rows), block in zip(layout, recorded, blocks):
-            rows_of = block.copy().view(storage.dtype).reshape((rows,) + storage.shape[1:])
-            tables.setdefault(twin, {})[table] = rows_of
+        tables = {
+            f"{owner}/{table}": block.copy()
+            .view(storage.dtype)
+            .reshape((rows,) + storage.shape[1:])
+            for (owner, table, storage, _), (_, _, rows), block in zip(layout, recorded, blocks)
+        }
         return tables, _HistoryEnd(windows, length, sha256)
 
     def _check_twin_digests(self, last: dict) -> None:
@@ -433,34 +453,32 @@ class DigitalTwinService:
         if window.index < len(self.records):
             return self.records[window.index]
         target = len(self.records) + 1
-        self.deployed.advance(target - self.deployed.windows_advanced)
+        # Every bank advances at every level: a bank steps its members in
+        # lockstep, so shedding saves only the shadows' answers.
+        for bank in self.banks:
+            bank.advance(target - bank.windows_advanced)
         body = {
             "kind": "window_closed",
             "window": window.to_dict(),
             "deployed": self.deployed.summary(),
         }
         if shed_level >= 3:
-            # Deployed-only: shadows stop advancing; the lag is repaid by
-            # one chunked (chunking-invariant) advance when pressure drops.
+            # Deployed-only: the shadows' summaries are shed too.
             self.windows_deployed_only += 1
             body["shed_level"] = 3
             body["shadows"] = {}
+        elif shed_level >= 2 and self.shadows:
+            # The equivalence deltas are shed.
+            self.windows_shed_shadows += 1
+            body["shed_level"] = 2
+            body["shadows"] = {
+                name: shadow.summary() for name, shadow in sorted(self.shadows.items())
+            }
         else:
-            for shadow in self.shadows.values():
-                shadow.advance(target - shadow.windows_advanced)
-            if shed_level >= 2 and self.shadows:
-                # Shadows advance but the equivalence deltas are shed.
-                self.windows_shed_shadows += 1
-                body["shed_level"] = 2
-                body["shadows"] = {
-                    name: shadow.summary()
-                    for name, shadow in sorted(self.shadows.items())
-                }
-            else:
-                body["shadows"] = {
-                    name: _shadow_answer(shadow, self.deployed)
-                    for name, shadow in sorted(self.shadows.items())
-                }
+            body["shadows"] = {
+                name: _shadow_answer(shadow, self.deployed)
+                for name, shadow in sorted(self.shadows.items())
+            }
         entry = {**body, "chain": chain_digest(self.chain, body)}
         if self.journal is not None and window.index > self._last_journaled_index:
             # WAL first (durable before served), then the best-effort blob.
@@ -485,19 +503,17 @@ class DigitalTwinService:
         self._replace_twins()
         n_windows = len(self.records)
         if n_windows:
-            self.deployed.advance(n_windows)
-            for shadow in self.shadows.values():
-                shadow.advance(n_windows)
+            for bank in self.banks:
+                bank.advance(n_windows)
             self._check_twin_digests(self.records[-1])
         self.rebuilds_total += 1
 
     def _replace_twins(self) -> None:
         """Close the twins and build fresh ones, at window 0."""
-        self.deployed.close()
-        for shadow in self.shadows.values():
-            shadow.close()
+        for bank in self.banks:
+            bank.close()
         config = self.config
-        self.deployed, self.shadows = _build_twins(
+        self.deployed, self.shadows, self.banks = _build_twins(
             config.scenario,
             config.n_servers,
             config.periods_per_window,
@@ -515,12 +531,6 @@ class DigitalTwinService:
         """Append the twins' new history rows to ``history.bin``, then
         write the state blob that goes with it."""
         n = len(self.records)
-        if any(shadow.windows_advanced != n for shadow in self.shadows.values()):
-            # Deployed-only shedding left the shadows lagging; both files
-            # assume every twin sits at the committed head, so skip them —
-            # the catch-up commit appends the lagged rows, and a resume
-            # restores the older blob and re-simulates the gap.
-            return
         layout = self._history_layout()
         end = self._history
         if n > end.windows:
@@ -539,14 +549,12 @@ class DigitalTwinService:
             end.sha256.update(data)
             end.length += len(data)
             end.windows = n
-        state = {
-            "deployed": self.deployed.snapshot(),
-            "shadows": {name: shadow.snapshot() for name, shadow in self.shadows.items()},
-        }
+        tables = {f"{owner}/{table}": storage for owner, table, storage, _ in layout}
+        state = {"twins": snapshot_twins(self._twins(), tables)}
         history = {
             "length": end.length,
             "sha256": end.sha256.hexdigest(),
-            "tables": [[twin, table, rows] for twin, table, _, rows in layout],
+            "tables": [[owner, table, rows] for owner, table, _, rows in layout],
         }
         blob = build_blob(
             state,
@@ -638,15 +646,6 @@ class DigitalTwinService:
             "shadows": {parsed.name: answer},
         }
 
-    @property
-    def shadow_lag(self) -> int:
-        """Windows the furthest-behind shadow owes (deployed-only rung)."""
-        if not self.shadows:
-            return 0
-        return len(self.records) - min(
-            shadow.windows_advanced for shadow in self.shadows.values()
-        )
-
     def metrics_counters(self) -> dict:
         """Raw counters for the /metrics renderer."""
         counters = dict(self.windows.counters())
@@ -654,7 +653,6 @@ class DigitalTwinService:
         counters["watermark_s"] = self.windows.watermark_s
         counters["windows_shed_shadows"] = self.windows_shed_shadows
         counters["windows_deployed_only"] = self.windows_deployed_only
-        counters["shadow_lag"] = self.shadow_lag
         counters["twin_rebuilds"] = self.rebuilds_total
         counters["health"] = self.health.counters()
         counters.update(
@@ -672,9 +670,8 @@ class DigitalTwinService:
         return counters
 
     def close(self) -> None:
-        self.deployed.close()
-        for shadow in self.shadows.values():
-            shadow.close()
+        for bank in self.banks:
+            bank.close()
         if self.journal is not None:
             self.journal.close()
 
@@ -696,13 +693,12 @@ def offline_whatif(
     """
     if n_windows < 1:
         raise ConfigurationError("n_windows must be >= 1")
-    deployed, twins = _build_twins(
+    deployed, twins, banks = _build_twins(
         scenario, n_servers, periods_per_window, seed, shadows
     )
     try:
-        deployed.advance(n_windows)
-        for twin in twins.values():
-            twin.advance(n_windows)
+        for bank in banks:
+            bank.advance(n_windows)
         return {
             "windows": n_windows,
             "deployed": deployed.summary(),
@@ -712,6 +708,5 @@ def offline_whatif(
             },
         }
     finally:
-        deployed.close()
-        for twin in twins.values():
-            twin.close()
+        for bank in banks:
+            bank.close()

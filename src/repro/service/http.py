@@ -60,7 +60,6 @@ _SCALAR_METRICS = (
     ("deployed_budget_w", "deployed_budget_watts", "gauge", "Deployed twin fleet budget"),
     ("windows_shed_shadows", "windows_shed_shadows_total", "counter", "Windows committed with shadow deltas shed"),
     ("windows_deployed_only", "windows_deployed_only_total", "counter", "Windows committed deployed-only"),
-    ("shadow_lag", "shadow_lag_windows", "gauge", "Windows the furthest-behind shadow owes"),
     ("twin_rebuilds", "twin_rebuilds_total", "counter", "Twin rebuilds after crash or stall"),
 )
 

@@ -20,9 +20,9 @@ As occupancy rises the pipeline walks a monotone shedding ladder:
     expensive cumulative trace comparison) and the HTTP surface refuses
     on-demand what-ifs; shadow twins still advance.
 ``DEPLOYED_ONLY`` (level 3)
-    Shadow twins stop advancing entirely; only the deployed twin steps.
-    The lag is repaid (one chunked, chunking-invariant ``advance``) as
-    soon as pressure drops back below this rung.
+    Windows closed at this level journal only the deployed answer; the
+    shadows' summaries are shed too. Shadow twins still advance: a bank
+    steps its members in lockstep, so they never fall behind.
 
 Every rung is counted for ``/metrics``, and the current level feeds the
 health state machine. The chaos transform (when a fault plan is armed)

@@ -27,8 +27,8 @@ class ResilienceConfig:
         occupancy fractions ``shed_late_frac`` (certainly-late events are
         dropped at the door), ``shed_shadows_frac`` (shadow equivalence
         deltas and on-demand what-ifs are shed), and
-        ``deployed_only_frac`` (shadow twins stop advancing entirely and
-        repay the lag when pressure clears).
+        ``deployed_only_frac`` (the shadows' summaries are shed too; the
+        shadow twins keep stepping with the deployed twin's bank).
     Ingest guards
         ``max_line_bytes`` bounds one LDJSON frame; ``idle_timeout_s`` is
         the per-connection read deadline; ``max_conn_errors`` closes a

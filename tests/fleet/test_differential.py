@@ -1,6 +1,6 @@
 """Differential proof of the fleet engine.
 
-Three layers of bit-for-bit equivalence, each pinned by canonical digests
+Four layers of bit-for-bit equivalence, each pinned by canonical digests
 (timing channels excluded, everything else exact):
 
 1. a flat one-rack fleet on the reference backend vs a literal
@@ -9,7 +9,9 @@ Three layers of bit-for-bit equivalence, each pinned by canonical digests
 2. the structure-of-arrays backend vs the reference backend (N scalar
    engines) on every SoA-capable registered scenario, at seed 0 and at a
    nonzero seed, and on a fleet that mixes fixed-step and MPC rows;
-3. ``snapshot()``/``restore()`` mid-run vs an uninterrupted run.
+3. ``snapshot()``/``restore()`` mid-run vs an uninterrupted run;
+4. fleets stepped as one bank (one SoA holding every member's rows) vs
+   the same fleets run alone, also across a mid-run snapshot.
 
 Fault-injection scenarios run under the ``chaos`` marker; the 256-server
 smoke runs under ``fleet_smoke`` (both off by default, on in CI's
@@ -22,9 +24,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.fleet import FleetSimulation, ReferenceBackend, SoaFleetBackend
+from repro.checkpoint.state import capture, restore
+from repro.errors import ConfigurationError
+from repro.fleet import FleetBank, FleetSimulation, ReferenceBackend, SoaFleetBackend
 from repro.fleet.scenarios import FLEET_SCENARIOS, fleet_scenario
-from repro.fleet.soa import build_scalar_twin
+from repro.fleet.soa import build_scalar_twin, soa_bank
 from repro.runner import _canonicalize, canonical_json
 from repro.sim.engine import SimConfig
 from repro.telemetry.trace import Trace
@@ -144,17 +148,15 @@ def assert_rack_matches_oracle(scenario, n_rounds):
     return rack
 
 
-# The test names keep their original ids; "rack shim" now means the flat
-# one-rack fleet on the reference backend.
 @pytest.mark.parametrize(
     "name", ["fair-static", "demand-static", "priority-static", "paper-rack"]
 )
-def test_rack_shim_matches_oracle(name):
+def test_flat_rack_matches_oracle(name):
     assert_rack_matches_oracle(fleet_scenario(name), n_rounds=3)
 
 
 @pytest.mark.chaos
-def test_chaos_rack_shim_matches_oracle():
+def test_chaos_flat_rack_matches_oracle():
     """Fault-injected servers (meter dropout + freeze) on the reference
     backend."""
     # Long enough that both fault windows open and close.
@@ -325,6 +327,108 @@ def test_snapshot_restore_mid_run(backend):
     want = fleet_digests(straight)
     assert fleet_digests(first) == want
     assert fleet_digests(resumed) == want
+
+
+# -- layer 4: fleets stepped as one bank -------------------------------------
+
+#: Bank members: (scenario, servers, seed, fraction of the scenario budget).
+BANKS = {
+    "one": [("tree-static", 8, 3, 1.0)],
+    "caps": [("tree-static", 8, 3, 1.0), ("tree-static", 8, 3, 0.8)],
+    "mixed": [
+        ("tree-static", 8, 0, 1.2),
+        ("demand-static", 6, 1, 0.9),
+        ("mpc-static", 4, 0, 1.0),
+    ],
+    "four": [
+        ("priority-static", 5, 2, 1.0),
+        ("tree-static", 8, 3, 0.8),
+        ("mpc-static", 3, 3, 1.1),
+        ("demand-static", 7, 0, 1.0),
+    ],
+}
+
+
+def bank_members(members):
+    """Fresh ``soa`` fleets, one per member, at their budget fractions."""
+    fleets = []
+    for name, n, seed, frac in members:
+        fleet = fleet_scenario(name).build_fleet("soa", n, seed)
+        fleet.set_budget(fleet.budget_w * frac)
+        fleets.append(fleet)
+    return fleets
+
+
+def run_with_budget_cut(run, fleets):
+    """Two rounds, a 3% budget cut on every member, two more rounds."""
+    run(2)
+    for fleet in fleets:
+        fleet.set_budget(fleet.budget_w * 0.97)
+    run(2)
+
+
+@pytest.mark.parametrize("bank", sorted(BANKS))
+def test_bank_members_match_fleets_run_alone(bank):
+    alone = bank_members(BANKS[bank])
+    for fleet in alone:
+        run_with_budget_cut(fleet.run, [fleet])
+    banked = bank_members(BANKS[bank])
+    run_with_budget_cut(soa_bank(banked).run, banked)
+    assert [fleet_digests(f) for f in banked] == [fleet_digests(f) for f in alone]
+
+
+def test_bank_snapshot_restore_mid_run():
+    """One capture over every member (the shared SoA is one subtree),
+    restored in one call into a fresh bank, continues as the uninterrupted
+    bank does."""
+    members = BANKS["mixed"]
+    straight = bank_members(members)
+    run_with_budget_cut(soa_bank(straight).run, straight)
+
+    first = bank_members(members)
+    bank = soa_bank(first)
+    bank.run(2)
+    nodes = capture(*first)
+    for fleet in first:
+        fleet.set_budget(fleet.budget_w * 0.97)
+    bank.run(2)
+
+    resumed = bank_members(members)
+    bank = soa_bank(resumed)
+    restore(nodes, resumed)
+    for fleet in resumed:
+        fleet.set_budget(fleet.budget_w * 0.97)
+    bank.run(2)
+
+    want = [fleet_digests(f) for f in straight]
+    assert [fleet_digests(f) for f in first] == want
+    assert [fleet_digests(f) for f in resumed] == want
+
+
+def test_bank_slice_refuses_out_of_range_servers_and_stepping():
+    fleets = bank_members(BANKS["caps"])
+    soa_bank(fleets).run(1)
+    rows = fleets[1].backend
+    assert rows.names == [f"s{i:04d}" for i in range(8)]
+    for index in (-1, 8):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            rows.server_trace(index)
+    with pytest.raises(ConfigurationError, match="through its bank"):
+        fleets[1].run(1)
+
+
+def test_bank_refuses_what_it_cannot_step_exactly():
+    scenario = fleet_scenario("tree-static")
+    with pytest.raises(ConfigurationError, match="got a FastFleetBackend"):
+        soa_bank([scenario.build_fleet("soa", 4), scenario.build_fleet("fast", 4)])
+    ran = scenario.build_fleet("soa", 4)
+    ran.run(1)
+    with pytest.raises(ConfigurationError, match="at period 3"):
+        soa_bank([scenario.build_fleet("soa", 4), ran])
+    fleets = [scenario.build_fleet("soa", 4) for _ in range(2)]
+    fleets[1].periods_per_rack_period = 2
+    with pytest.raises(ConfigurationError, match="periods_per_rack_period"):
+        FleetBank(fleets)
 
 
 # -- at scale ----------------------------------------------------------------

@@ -86,6 +86,13 @@ class TestTwinCommand:
         ) == 2
         assert "twin:" in capsys.readouterr().err
 
+    def test_infinite_cap_is_exit_2_with_the_parse_message(self, capsys):
+        assert main(
+            ["twin", "--servers", "4", "--windows", "1", "--shadow", "cap=inf"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "twin: shadow cap must be a finite number > 0, got 'inf'" in err
+
     def test_duplicate_shadows_are_exit_2(self):
         assert main(
             ["twin", "--servers", "4", "--windows", "1",

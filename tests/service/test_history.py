@@ -6,6 +6,7 @@ import pickle
 import shutil
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.checkpoint.blob import MAGIC, SCHEMA_VERSION, build_blob, load_blob, save_blob
@@ -114,9 +115,10 @@ class TestCommit:
         data = journal.history_path.read_bytes()
         assert history["length"] == len(data)
         assert history["sha256"] == hashlib.sha256(data).hexdigest()
+        # Each twin's fleet trace, then the rows of the one SoA both twins
+        # step in.
         assert [row[:2] for row in history["tables"]] == [
-            ["deployed", "soa"], ["deployed", "trace"],
-            ["cap=80", "soa"], ["cap=80", "trace"],
+            ["deployed", "trace"], ["cap=80", "trace"], ["bank0", "soa"],
         ]
 
     def test_digest_cache_equals_canonical_json(self, tmp_path):
@@ -191,6 +193,44 @@ class TestResume:
         assert again.restored_from == "blob"
         continue_to_straight_chain(again, straight_chains)
 
+    def test_blob_in_the_per_twin_layout_resimulates(self, tmp_path, straight_chains):
+        """``twin.ckpt`` and ``history.bin`` as they were written before the
+        twins stepped as banks: each twin's fleet captured on its own, and
+        each twin's own SoA rows (``soa``) beside its fleet trace. The
+        table list differs from the bank layout, so the blob is never
+        restored."""
+        directory = tmp_path / "svc"
+        service = journalled(directory, RESUMED_AT)
+        shared = service.banks[0].fleets.backend
+        tables, columns = [], []
+        for k, (name, twin) in enumerate([("deployed", service.deployed), *service.shadows.items()]):
+            soa = np.ascontiguousarray(shared._hist[: shared._n_rows, k * N : (k + 1) * N])
+            trace = twin.fleet.trace._data[: len(twin.fleet.trace)]
+            for table, rows in (("soa", soa), ("trace", trace)):
+                tables.append([name, table, len(rows)])
+                columns.append(rows.reshape(RESUMED_AT, -1).view(np.uint8))
+        data = np.concatenate(columns, axis=1).tobytes()
+        (directory / "history.bin").write_bytes(data)
+        state = {
+            "deployed": service.deployed.fleet.snapshot(),
+            "shadows": {n: s.fleet.snapshot() for n, s in service.shadows.items()},
+        }
+        history = {
+            "length": len(data),
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "tables": tables,
+        }
+        summary = {"windows_closed": RESUMED_AT, "chain": service.chain, "history": history}
+        save_blob(directory / "twin.ckpt", build_blob(state, {"windows_closed": RESUMED_AT}, summary))
+        service.close()
+
+        resumed = resume(directory)
+        assert (resumed.restored_from, resumed.resimulated_windows) == ("wal", RESUMED_AT)
+        assert [row[0] for row in load_blob(directory / "twin.ckpt")["summary"]["history"]["tables"]] == [
+            "deployed", "cap=80", "bank0"
+        ]
+        continue_to_straight_chain(resumed, straight_chains)
+
     @pytest.mark.parametrize("damage", ["flipped-byte", "truncated", "missing"])
     def test_damaged_history_resimulates(self, tmp_path, straight_chains, damage):
         directory = tmp_path / "svc"
@@ -226,27 +266,33 @@ class TestResume:
         continue_to_straight_chain(service, straight_chains)
 
 
-def soa_node(twin_state):
-    """The SoA backend's object node inside a twin's captured fleet."""
-    fleet = dict(twin_state["fleet"]["__obj__"]["state"])
+def backend_node(state, twin):
+    """The backend object node of ``twin``'s captured fleet: the slice of
+    the bank's shared SoA that the twin's rows are."""
+    fleet = dict(state["twins"][twin]["__obj__"]["state"])
     return fleet["backend"]["__obj__"]
 
 
 class TestStaleLayout:
     @pytest.mark.parametrize("twin", ["deployed", "cap=80"])
     def test_blob_lacking_backend_state_resimulates(self, tmp_path, straight_chains, twin):
-        """A blob whose SoA node lacks the round-robin cursors of the
-        fixed-step bank (as a blob written before the bank moved into the
-        SoA does) is refused, also after the twins before it were
-        restored; the twins are rebuilt from the WAL and both files are
+        """A blob whose backend state lacks what the backend has is
+        refused, also after the nodes before it were restored: the shared
+        SoA without the round-robin cursors of the fixed-step bank (as a
+        blob written before the bank moved into the SoA), captured under
+        the deployed twin, or the cap=80 twin's slice without its first
+        row. The twins are rebuilt from the WAL and both files are
         rewritten."""
         directory = tmp_path / "svc"
         journalled(directory, RESUMED_AT).close()
         path = directory / "twin.ckpt"
         blob = load_blob(path)
         state = blob["state"]
-        node = soa_node(state["deployed"] if twin == "deployed" else state["shadows"][twin])
-        node["state"] = [[k, v] for k, v in node["state"] if k != "_fs_rr"]
+        if twin == "deployed":
+            node, attr = dict(backend_node(state, twin)["state"])["_soa"]["__obj__"], "_fs_rr"
+        else:
+            node, attr = backend_node(state, twin), "_start"
+        node["state"] = [[k, v] for k, v in node["state"] if k != attr]
         save_blob(path, build_blob(state, blob["created"], blob["summary"]))
 
         service = resume(directory)

@@ -117,6 +117,14 @@ class TestStreaming:
         assert service.cache.hits >= 1
         service.close()
 
+    def test_whatif_payload_refuses_an_infinite_cap_before_any_twin(self):
+        service = DigitalTwinService(config(shadows=None))
+        feed_windows(service, 2)
+        with pytest.raises(ConfigurationError, match="finite number > 0, got 'inf'"):
+            service.whatif_payload("cap=inf")
+        assert service.cache.counters()["misses"] == 0
+        service.close()
+
     def test_whatif_payload_without_records(self):
         service = DigitalTwinService(config(shadows=None))
         assert service.whatif_payload()["windows"] == 0

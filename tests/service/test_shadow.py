@@ -1,6 +1,7 @@
 """Shadow specs and cumulative twins."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -40,6 +41,12 @@ class TestParseShadowSpec:
     def test_rejects_malformed(self, spec):
         with pytest.raises(ConfigurationError):
             parse_shadow_spec(spec)
+
+    @pytest.mark.parametrize("cap", ["inf", "-inf", "1e400", "nan", "0", "-5"])
+    def test_refuses_a_cap_that_is_not_finite_and_positive(self, cap):
+        message = f"shadow cap must be a finite number > 0, got '{cap}'"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            parse_shadow_spec(f"cap={cap}")
 
     def test_specs_list(self):
         specs = parse_shadow_specs("cap=80, cap=120")
