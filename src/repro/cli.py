@@ -968,9 +968,6 @@ def _cmd_twin(args: argparse.Namespace) -> int:
 
     try:
         shadows = tuple(parse_shadow_spec(s) for s in (args.shadow or ()))
-        names = [s.name for s in shadows]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(f"duplicate shadow specs: {names}")
         answers = offline_whatif(
             args.scenario,
             args.servers,

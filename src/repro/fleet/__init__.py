@@ -12,23 +12,17 @@ Layers, bottom up:
   (``tests/fleet/test_differential.py``);
 * :mod:`repro.fleet.scenarios` — registered recipes, and
   ``FleetScenario.build_fleet(backend, n_servers, seed)``, the one place a
-  scenario becomes a :class:`FleetSimulation`. A seed shifts every
-  server's RNG streams and leaves the topology alone; reference-only
-  scenarios refuse a nonzero seed.
+  scenario becomes a :class:`FleetSimulation` (``soa_bank`` builds several
+  of them on one SoA). A seed shifts every server's RNG streams and leaves
+  the topology alone; reference-only scenarios refuse a nonzero seed.
 
 A rack of hand-built servers is ``FleetSimulation(ReferenceBackend(
 [FleetServer(...), ...]), budget_w, allocator)``.
 """
 
 from .engine import FleetBackend, FleetBank, FleetServer, FleetSimulation, ReferenceBackend
-from .soa import (
-    DEFAULT_GPU_SPECS,
-    SoaFleetBackend,
-    SoaRows,
-    SoaServerSpec,
-    build_scalar_twin,
-    soa_bank,
-)
+from .scenarios import soa_bank
+from .soa import DEFAULT_GPU_SPECS, SoaFleetBackend, SoaRows, SoaServerSpec, build_scalar_twin
 from .tree import BudgetNode, BudgetTree
 
 __all__ = [

@@ -17,14 +17,16 @@ two axes:
   *record* (the fleet-trace row). A :class:`FleetBank` plans each member,
   steps one backend once and records each member, so fleets whose servers
   share one backend step together; :meth:`FleetSimulation.run` is the
-  bank of one. :func:`repro.fleet.soa.soa_bank` stacks SoA fleets into
-  one backend, each member's backend a slice of its rows (the digital
-  twin's deployed fleet and its shadows step this way).
+  bank of one. :func:`repro.fleet.scenarios.soa_bank` builds the fleets
+  of several scenarios on one SoA backend, each member's backend a slice
+  of its rows (the digital twin's deployed fleet and its shadows step
+  this way).
 
 A single rack is ``FleetSimulation(ReferenceBackend([FleetServer(...),
 ...]), budget_w, allocator)``. Registered scenarios are built by
 :meth:`repro.fleet.scenarios.FleetScenario.build_fleet`, the one place a
-scenario, backend name, size and seed become a :class:`FleetSimulation`.
+scenario, backend name, size and seed become a :class:`FleetSimulation`,
+or, several at once, by ``soa_bank``.
 """
 
 from __future__ import annotations
@@ -356,7 +358,8 @@ class FleetBank:
 
     Each round plans every member (states, its own budget tree, caps),
     steps ``backend`` once, then records every member's trace row.
-    :func:`repro.fleet.soa.soa_bank` builds a bank of several SoA fleets.
+    :func:`repro.fleet.scenarios.soa_bank` builds a bank of several SoA
+    fleets.
     """
 
     def __init__(self, fleets: list[FleetSimulation], backend: FleetBackend | None = None):

@@ -6,7 +6,8 @@ fleet engine vs structure-of-arrays backend on identical inputs), the
 benchmark harness (64/256/1024-server builds), ``repro run --fleet`` and
 the digital twins of :mod:`repro.service`. :meth:`FleetScenario.build_fleet`
 is the one place a scenario, backend name, size and seed become a
-:class:`~repro.fleet.engine.FleetSimulation`.
+:class:`~repro.fleet.engine.FleetSimulation`; :func:`soa_bank` is the one
+place several of them become one bank on one SoA.
 
 Scenarios with a ``spec_fn`` are *homogeneous static-load* fleets: every
 server is described by a :class:`~repro.fleet.soa.SoaServerSpec`, so they
@@ -30,11 +31,17 @@ from ..cluster.allocator import (
     ProportionalDemandAllocator,
 )
 from ..errors import ConfigurationError
-from .engine import FleetBackend, FleetServer, FleetSimulation, ReferenceBackend
-from .soa import SoaFleetBackend, SoaServerSpec, build_scalar_twin
+from .engine import FleetBackend, FleetBank, FleetServer, FleetSimulation, ReferenceBackend
+from .soa import SoaFleetBackend, SoaRows, SoaServerSpec, build_scalar_twin
 from .tree import BudgetTree
 
-__all__ = ["FleetScenario", "FLEET_SCENARIOS", "fleet_scenario", "fleet_scenario_names"]
+__all__ = [
+    "FleetScenario",
+    "FLEET_SCENARIOS",
+    "fleet_scenario",
+    "fleet_scenario_names",
+    "soa_bank",
+]
 
 
 class FleetScenario:
@@ -149,8 +156,14 @@ class FleetScenario:
                 f"unknown fleet backend {backend!r}; have reference, soa, "
                 f"fast, fast-parallel"
             )
+        return self._fleet_on(be)
+
+    def _fleet_on(self, backend: FleetBackend) -> FleetSimulation:
+        """The scenario's budget, allocation and round length over
+        ``backend``'s servers."""
+        n = backend.n_servers
         return FleetSimulation(
-            be,
+            backend,
             budget_w=self.budget_w(n),
             allocation=self.allocation(n),
             periods_per_rack_period=self.periods_per_rack_period,
@@ -314,3 +327,29 @@ def fleet_scenario(name: str) -> FleetScenario:
 def fleet_scenario_names() -> list[str]:
     """Registered scenario names, sorted."""
     return sorted(FLEET_SCENARIOS)
+
+
+def soa_bank(members: list[tuple[str, int, int]]) -> FleetBank:
+    """Fleets of SoA-capable scenarios stepped as one bank (see "Banks" in
+    :mod:`repro.fleet.soa`), each member a ``(scenario, n_servers, seed)``
+    as :meth:`FleetScenario.build_fleet` takes them. One
+    :class:`SoaFleetBackend` is built from every member's specs, each
+    member's rows after the previous member's, and each member's fleet has
+    its :class:`SoaRows` slice as its backend. Members reuse server names
+    (``s0000``, ...), so the shared backend names them
+    ``"{member}/{name}"``."""
+    recipes = [fleet_scenario(name) for name, _, _ in members]
+    specs = [recipe.specs(n, seed) for recipe, (_, n, seed) in zip(recipes, members)]
+    shared = SoaFleetBackend(
+        [
+            dataclasses.replace(spec, name=f"{k}/{spec.name}")
+            for k, member in enumerate(specs)
+            for spec in member
+        ]
+    )
+    fleets = []
+    start = 0
+    for recipe, member in zip(recipes, specs):
+        fleets.append(recipe._fleet_on(SoaRows(shared, start, [s.name for s in member])))
+        start += len(member)
+    return FleetBank(fleets, shared)

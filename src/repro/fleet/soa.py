@@ -74,8 +74,9 @@ and shares the rest of the period.
 
 Banks. Servers do not interact inside a period, and every per-server
 expression above is elementwise over the server axis, so the rows of
-several fleets can share one backend: :func:`soa_bank` builds one
-:class:`SoaFleetBackend` over every member's specs and hands each member a
+several fleets can share one backend:
+:func:`repro.fleet.scenarios.soa_bank` builds one
+:class:`SoaFleetBackend` from every member's specs and gives each member a
 :class:`SoaRows` slice of it, which reads and writes only that member's
 rows under the member's own server names. One ``run_periods`` call then
 steps every member, each exactly as if it ran alone. Only this exact class
@@ -91,7 +92,6 @@ inference pipelines, faults and events stay on the
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -127,13 +127,12 @@ from ..units import (
 )
 from ..workloads.pipeline import PipelineConfig
 from ..workloads.static import StaticLoadPipeline, StaticLoadSpec
-from .engine import FleetBackend, FleetBank, FleetServer, FleetSimulation
+from .engine import FleetBackend, FleetServer
 
 __all__ = [
     "SoaServerSpec",
     "SoaFleetBackend",
     "SoaRows",
-    "soa_bank",
     "DEFAULT_GPU_SPECS",
     "build_scalar_twin",
     "fleet_identified_model",
@@ -149,32 +148,25 @@ DEFAULT_GPU_SPECS: tuple[StaticLoadSpec, ...] = (
 )
 
 
-def fleet_identified_model(
-    gpu_specs: tuple[StaticLoadSpec, ...] = DEFAULT_GPU_SPECS,
-    config: SimConfig = SimConfig(),
-    seed: int = 0,
-    points_per_channel: int = 6,
-):
-    """One-shot system identification on a probe static-load server.
+@lru_cache(maxsize=1)
+def fleet_identified_model():
+    """One-shot system identification on a probe static-load server: the
+    default fleet's GPU workloads and :class:`SimConfig`, seed 0, six
+    points per channel.
 
     Cached per process (like :func:`repro.experiments.common.identified_model`)
     so every MPC controller in a homogeneous fleet — reference twins and SoA
     columns alike — shares the same :class:`PowerModelFit`, mirroring the
     paper's identify-once-per-testbed workflow.
     """
-    return _fleet_identified_model_cached(gpu_specs, config, seed, points_per_channel)
-
-
-@lru_cache(maxsize=8)
-def _fleet_identified_model_cached(gpu_specs, config, seed, points_per_channel):
     from ..sysid import identify_power_model
 
-    server = v100_server(seed=seed, n_gpus=len(gpu_specs))
+    server = v100_server(seed=0, n_gpus=len(DEFAULT_GPU_SPECS))
     pipelines = [
-        StaticLoadPipeline(gs, PipelineConfig(n_workers=1)) for gs in gpu_specs
+        StaticLoadPipeline(gs, PipelineConfig(n_workers=1)) for gs in DEFAULT_GPU_SPECS
     ]
-    sim = ServerSimulation(server, pipelines, config=config, seed=seed)
-    return identify_power_model(sim, points_per_channel=points_per_channel).fit
+    sim = ServerSimulation(server, pipelines, config=SimConfig(), seed=0)
+    return identify_power_model(sim, points_per_channel=6).fit
 
 
 @dataclass(frozen=True)
@@ -1093,35 +1085,3 @@ class SoaRows(FleetBackend):
 
     def server_columns(self, names: tuple[str, ...]) -> list[np.ndarray]:
         return [column[:, self._rows] for column in self._soa.server_columns(names)]
-
-
-def soa_bank(fleets: list[FleetSimulation]) -> FleetBank:
-    """Step fresh fleets on this exact backend class as one bank (see
-    "Banks" above): one :class:`SoaFleetBackend` holds every member's
-    servers, each member's rows after the previous member's, and each
-    fleet's backend becomes its :class:`SoaRows`. Members reuse server
-    names (``s0000``, ...), so the shared backend names them
-    ``"{member}/{name}"``."""
-    backends: list[SoaFleetBackend] = []
-    for fleet in fleets:
-        be = fleet.backend
-        if type(be) is not SoaFleetBackend or be.period_index:
-            raise ConfigurationError(
-                "a bank stacks fleets on the soa backend that have not run yet, "
-                f"got a {type(be).__name__} at period {getattr(be, 'period_index', '?')}"
-            )
-        backends.append(be)
-    first = backends[0]
-    if any(be.gpu_specs != first.gpu_specs or be.config != first.config for be in backends):
-        raise ConfigurationError("bank members must share GPU workloads and SimConfig")
-    specs = [
-        dataclasses.replace(spec, name=f"{k}/{spec.name}")
-        for k, be in enumerate(backends)
-        for spec in be.specs
-    ]
-    shared = SoaFleetBackend(specs, first.gpu_specs, first.config)
-    start = 0
-    for fleet, be in zip(fleets, backends):
-        fleet.backend = SoaRows(shared, start, be.names)
-        start += be.n_servers
-    return FleetBank(fleets, shared)

@@ -35,13 +35,13 @@ from .journal import GENESIS_CHAIN, ServiceJournal, chain_digest
 from .resilience.health import HealthMonitor
 from .shadow import (
     ShadowSpec,
-    TwinBank,
     TwinRunner,
+    TwinSpec,
     bank_twins,
+    check_shadow_names,
     parse_shadow_spec,
     restore_twins,
     snapshot_twins,
-    topology_hash,
 )
 from .windows import ClosedWindow, WindowManager
 
@@ -60,18 +60,27 @@ class ServiceConfig:
     shadows: tuple[ShadowSpec, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.n_servers < 1:
-            raise ConfigurationError("n_servers must be >= 1")
+        # Every twin's spec is checked here, before any journal is created.
         require_positive(self.window_s, "window_s")
-        if self.periods_per_window < 1:
-            raise ConfigurationError("periods_per_window must be >= 1")
+        check_shadow_names(self.shadows)
+        self.twin_specs()
+
+    @property
+    def twin_spec(self) -> TwinSpec:
+        """The deployed twin's spec."""
+        return TwinSpec(self.scenario, self.n_servers, self.periods_per_window, self.seed)
 
     @property
     def topology_hash(self) -> str:
         """The deployed twin's topology hash (seeds the WAL chain space)."""
-        return topology_hash(
-            self.scenario, self.n_servers, self.periods_per_window, self.seed
-        )
+        return self.twin_spec.topology_hash
+
+    def twin_specs(self) -> dict[str, TwinSpec]:
+        """Every twin's spec by name: ``deployed``, then the shadows by
+        name (the order of the blob's state and of ``history.bin``)."""
+        deployed = self.twin_spec
+        shadows = {spec.name: deployed.shadow(spec) for spec in self.shadows}
+        return {"deployed": deployed, **dict(sorted(shadows.items()))}
 
     def to_dict(self) -> dict:
         return {
@@ -128,29 +137,6 @@ def _equiv_dict(report) -> dict:
     }
 
 
-def _build_twins(
-    scenario: str,
-    n_servers: int,
-    periods_per_window: int,
-    seed: int,
-    shadows: tuple[ShadowSpec, ...],
-) -> tuple[TwinRunner, dict[str, TwinRunner], list[TwinBank]]:
-    """The deployed twin, one shadow twin per spec keyed by spec name, and
-    the banks they step in (:func:`~repro.service.shadow.bank_twins`, the
-    deployed twin first, then the shadows by name)."""
-    deployed = TwinRunner(
-        scenario, n_servers, periods_per_window=periods_per_window, seed=seed
-    )
-    twins = {
-        spec.name: TwinRunner.for_shadow(
-            spec, scenario, n_servers, periods_per_window, seed
-        )
-        for spec in shadows
-    }
-    banks = bank_twins([deployed, *(twin for _, twin in sorted(twins.items()))])
-    return deployed, twins, banks
-
-
 def _shadow_answer(shadow: TwinRunner, deployed: TwinRunner) -> dict:
     """One shadow's cumulative answer: summary + deltas vs deployed."""
     answer = shadow.summary()
@@ -200,13 +186,10 @@ class DigitalTwinService:
     ):
         self.config = config
         self.journal = journal
-        self.deployed, self.shadows, self.banks = _build_twins(
-            config.scenario,
-            config.n_servers,
-            config.periods_per_window,
-            config.seed,
-            config.shadows,
-        )
+        #: Every twin by name, in :meth:`ServiceConfig.twin_specs` order (the
+        #: order of the blob's state and of ``history.bin`` records), and
+        #: the banks that built them.
+        self.twins, self.banks = bank_twins(config.twin_specs())
         self.cache = ResultCache()
         self.records: list[dict] = []
         self.chain = GENESIS_CHAIN
@@ -289,7 +272,7 @@ class DigitalTwinService:
             or not isinstance(m, int)
             or not 0 < m <= len(entries)
             or summary.get("chain") != entries[m - 1]["chain"]
-            or list(state.get("twins", {})) != list(self._twins())
+            or list(state.get("twins", {})) != list(self.twins)
         ):
             return 0
         read = self._read_history(journal, history, m)
@@ -297,7 +280,7 @@ class DigitalTwinService:
             return 0
         tables, self._history = read
         try:
-            restore_twins(state["twins"], self._twins(), tables, m)
+            restore_twins(state["twins"], self.twins, tables)
         except CheckpointError:
             # A stale layout can be refused after some nodes were restored:
             # start over from fresh twins and an empty history.bin.
@@ -307,10 +290,14 @@ class DigitalTwinService:
         journal.truncate_history(self._history.length)
         return m
 
-    def _twins(self) -> dict[str, TwinRunner]:
-        """Every twin by name: the deployed twin, then the shadows by name
-        (the order of the blob's state and of ``history.bin`` records)."""
-        return {"deployed": self.deployed, **dict(sorted(self.shadows.items()))}
+    @property
+    def deployed(self) -> TwinRunner:
+        return self.twins["deployed"]
+
+    @property
+    def shadows(self) -> dict[str, TwinRunner]:
+        """The shadow twins by name."""
+        return {name: twin for name, twin in self.twins.items() if name != "deployed"}
 
     def _history_layout(self) -> list[tuple[str, str, np.ndarray, int]]:
         """``(owner, table, storage, rows)`` for every history table, in the
@@ -319,7 +306,7 @@ class DigitalTwinService:
         banks named ``bank0``, ``bank1``, ... in :attr:`banks` order."""
         layout = [
             (name, "trace", *twin.fleet.history_tables()["trace"])
-            for name, twin in self._twins().items()
+            for name, twin in self.twins.items()
         ]
         for k, bank in enumerate(self.banks):
             for table, (storage, rows) in sorted(bank.fleets.backend.history_tables().items()):
@@ -512,14 +499,7 @@ class DigitalTwinService:
         """Close the twins and build fresh ones, at window 0."""
         for bank in self.banks:
             bank.close()
-        config = self.config
-        self.deployed, self.shadows, self.banks = _build_twins(
-            config.scenario,
-            config.n_servers,
-            config.periods_per_window,
-            config.seed,
-            config.shadows,
-        )
+        self.twins, self.banks = bank_twins(self.config.twin_specs())
 
     def _file_in_cache(self, entry: dict) -> None:
         chain = entry["chain"]
@@ -550,7 +530,7 @@ class DigitalTwinService:
             end.length += len(data)
             end.windows = n
         tables = {f"{owner}/{table}": storage for owner, table, storage, _ in layout}
-        state = {"twins": snapshot_twins(self._twins(), tables)}
+        state = {"twins": snapshot_twins(self.twins, tables)}
         history = {
             "length": end.length,
             "sha256": end.sha256.hexdigest(),
@@ -618,14 +598,7 @@ class DigitalTwinService:
         parsed = parse_shadow_spec(spec)
         n_windows = len(records)
         chain = latest["chain"]
-        shadow_hash = topology_hash(
-            parsed.scenario or self.config.scenario,
-            self.config.n_servers,
-            self.config.periods_per_window,
-            self.config.seed,
-            budget_frac=parsed.budget_frac,
-            engine=parsed.engine,
-        )
+        shadow_hash = self.config.twin_spec.shadow(parsed).topology_hash
 
         def compute() -> dict:
             answers = offline_whatif(
@@ -693,9 +666,11 @@ def offline_whatif(
     """
     if n_windows < 1:
         raise ConfigurationError("n_windows must be >= 1")
-    deployed, twins, banks = _build_twins(
-        scenario, n_servers, periods_per_window, seed, shadows
+    config = ServiceConfig(
+        scenario, n_servers, periods_per_window=periods_per_window, seed=seed, shadows=shadows
     )
+    twins, banks = bank_twins(config.twin_specs())
+    deployed = twins.pop("deployed")
     try:
         for bank in banks:
             bank.advance(n_windows)
@@ -704,7 +679,7 @@ def offline_whatif(
             "deployed": deployed.summary(),
             "shadows": {
                 name: _shadow_answer(twin, deployed)
-                for name, twin in sorted(twins.items())
+                for name, twin in twins.items()
             },
         }
     finally:

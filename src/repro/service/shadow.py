@@ -16,15 +16,19 @@ tolerance metrics, so an operator reading ``/whatif`` sees not only "what
 would cap=80 have cost" but whether the shadow's engine is still inside
 the trust envelope of ``docs/simulator.md``.
 
-Twins advance in **banks** (:class:`TwinBank`): every reference-engine
-twin of an SoA-capable scenario steps through one shared SoA, one
-``run_periods`` call per budget round for all of them, and each keeps the
-digest it has on its own. A standalone :class:`TwinRunner` is a bank of
-one.
+A :class:`TwinSpec` holds the six fields that fix a twin's trajectory,
+validated once; its :attr:`~TwinSpec.topology_hash` names the twin in the
+what-if cache and the WAL, and :meth:`TwinSpec.shadow` derives a shadow's
+spec from the deployed one. Twins advance in **banks** (:class:`TwinBank`),
+and a bank builds its twins' fleets from their specs: every reference-engine
+twin of an SoA-capable scenario steps through one shared SoA, built once,
+one ``run_periods`` call per budget round for all of them, and each keeps
+the digest it has on its own. A twin is constructed only by its bank.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -36,9 +40,8 @@ import numpy as np
 from ..checkpoint.state import capture, restore
 from ..equiv import EquivReport, compare_metrics, fleet_server_metrics
 from ..errors import ConfigurationError
-from ..fleet.engine import FleetBank
-from ..fleet.scenarios import fleet_scenario
-from ..fleet.soa import soa_bank
+from ..fleet.engine import FleetBank, FleetSimulation
+from ..fleet.scenarios import fleet_scenario, soa_bank
 from ..runner import TIMING_KEYS
 from ..telemetry.trace import Trace
 
@@ -46,12 +49,13 @@ __all__ = [
     "ShadowSpec",
     "parse_shadow_spec",
     "parse_shadow_specs",
+    "check_shadow_names",
+    "TwinSpec",
     "TwinRunner",
     "TwinBank",
     "bank_twins",
     "snapshot_twins",
     "restore_twins",
-    "topology_hash",
 ]
 
 
@@ -127,42 +131,75 @@ def parse_shadow_spec(spec: str) -> ShadowSpec:
 
 def parse_shadow_specs(specs: str) -> tuple[ShadowSpec, ...]:
     """Parse a comma-separated shadow list (``cap=80,cap=120``)."""
-    parsed = [parse_shadow_spec(s) for s in specs.split(",") if s.strip()]
+    parsed = tuple(parse_shadow_spec(s) for s in specs.split(",") if s.strip())
     if not parsed:
         raise ConfigurationError(f"no shadow specs in {specs!r}")
-    names = [s.name for s in parsed]
+    check_shadow_names(parsed)
+    return parsed
+
+
+def check_shadow_names(shadows: tuple[ShadowSpec, ...]) -> None:
+    """Refuse a shadow list that names one shadow twice: a twin is filed
+    under its name, so a repeat would be one twin under two names."""
+    names = [s.name for s in shadows]
     if len(set(names)) != len(names):
         raise ConfigurationError(f"duplicate shadow specs: {names}")
-    return tuple(parsed)
 
 
-def topology_hash(
-    scenario: str,
-    n_servers: int,
-    periods_per_window: int,
-    seed: int,
-    budget_frac: float = 1.0,
-    engine: str = "reference",
-) -> str:
-    """Digest of everything that determines a twin's trajectory.
+@dataclass(frozen=True)
+class TwinSpec:
+    """Everything that determines a twin's trajectory: two twins of equal
+    specs advanced the same number of windows produce identical traces."""
 
-    Two twins with equal topology hashes advanced the same number of
-    windows produce identical traces — this is the cache key's first half
-    (the second is the closed-window chain position).
-    """
-    body = json.dumps(
-        {
-            "scenario": scenario,
-            "n_servers": int(n_servers),
-            "periods_per_window": int(periods_per_window),
-            "seed": int(seed),
-            "budget_frac": float(budget_frac),
-            "engine": engine,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+    scenario: str
+    n_servers: int
+    periods_per_window: int = 1
+    seed: int = 0
+    budget_frac: float = 1.0
+    engine: str = "reference"
+
+    def __post_init__(self) -> None:
+        fleet_scenario(self.scenario)  # validates the name
+        if self.n_servers < 1:
+            raise ConfigurationError("n_servers must be >= 1")
+        if self.periods_per_window < 1:
+            raise ConfigurationError("periods_per_window must be >= 1")
+        if not self.budget_frac > 0.0:
+            raise ConfigurationError("budget_frac must be > 0")
+        if self.engine not in ("reference", "fast"):
+            raise ConfigurationError(f"unknown twin engine {self.engine!r}")
+
+    @property
+    def topology_hash(self) -> str:
+        """sha256 of the spec's canonical JSON: the what-if cache key's
+        first half (the second is the closed-window chain position)."""
+        fields = {**vars(self), "budget_frac": float(self.budget_frac)}
+        body = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+    @property
+    def backend(self) -> str:
+        """The fleet backend the twin steps on: ``fast`` for the fast
+        engine, else the SoA (bit-identical to the scalar reference) where
+        the scenario has one."""
+        if self.engine == "fast":
+            return "fast"
+        return "soa" if fleet_scenario(self.scenario).soa_capable else "reference"
+
+    @property
+    def bankable(self) -> bool:
+        """True when the twin steps on the exact SoA backend, so it may
+        share a :class:`TwinBank` with other such twins."""
+        return self.backend == "soa"
+
+    def shadow(self, spec: ShadowSpec) -> "TwinSpec":
+        """A shadow's spec: this (deployed) spec with the shadow's deltas."""
+        return dataclasses.replace(
+            self,
+            scenario=spec.scenario or self.scenario,
+            budget_frac=spec.budget_frac,
+            engine=spec.engine,
+        )
 
 
 class _TraceDigest:
@@ -200,88 +237,26 @@ class _TraceDigest:
 
 
 class TwinRunner:
-    """One cumulative twin: a fleet simulation advanced window by window."""
+    """One cumulative twin: the fleet its :class:`TwinBank` built from
+    ``spec``, advanced window by window."""
 
-    def __init__(
-        self,
-        scenario: str,
-        n_servers: int,
-        periods_per_window: int = 1,
-        seed: int = 0,
-        budget_frac: float = 1.0,
-        engine: str = "reference",
-    ):
-        if periods_per_window < 1:
-            raise ConfigurationError("periods_per_window must be >= 1")
-        if not budget_frac > 0.0:
-            raise ConfigurationError("budget_frac must be > 0")
-        if engine not in ("reference", "fast"):
-            raise ConfigurationError(f"unknown twin engine {engine!r}")
-        sc = fleet_scenario(scenario)
-        if engine == "fast":
-            backend = "fast"
-        else:  # the SoA backend is bit-identical to the scalar reference
-            backend = "soa" if sc.soa_capable else "reference"
-        self.scenario = scenario
-        self.n_servers = int(n_servers)
-        self.periods_per_window = int(periods_per_window)
-        self.seed = int(seed)
-        self.budget_frac = float(budget_frac)
-        self.engine = engine
-        self.fleet = sc.build_fleet(backend, n_servers, seed)
-        self.fleet.set_budget(self.fleet.budget_w * budget_frac)
-        self.windows_advanced = 0
+    def __init__(self, spec: TwinSpec, fleet: FleetSimulation):
+        self.spec = spec
+        self.fleet = fleet
         # Derived from the fleet's history, never checkpointed: the digest's
         # canonical text, and the equivalence metrics at a trace length.
         self._digest = _TraceDigest()
         self._metrics: tuple[int, list[dict[str, float]]] | None = None
 
-    @classmethod
-    def for_shadow(
-        cls,
-        spec: ShadowSpec,
-        deployed_scenario: str,
-        n_servers: int,
-        periods_per_window: int,
-        seed: int,
-    ) -> "TwinRunner":
-        """A shadow twin: the deployed config with the spec's deltas."""
-        return cls(
-            scenario=spec.scenario or deployed_scenario,
-            n_servers=n_servers,
-            periods_per_window=periods_per_window,
-            seed=seed,
-            budget_frac=spec.budget_frac,
-            engine=spec.engine,
-        )
-
     @property
-    def bankable(self) -> bool:
-        """True when the twin steps on the bit-identical SoA backend, so
-        it may share a :class:`TwinBank` with other such twins."""
-        return self.engine == "reference" and fleet_scenario(self.scenario).soa_capable
-
-    @property
-    def topology_hash(self) -> str:
-        return topology_hash(
-            self.scenario,
-            self.n_servers,
-            self.periods_per_window,
-            self.seed,
-            budget_frac=self.budget_frac,
-            engine=self.engine,
-        )
+    def windows_advanced(self) -> int:
+        return len(self.fleet.trace) // self.spec.periods_per_window
 
     def advance(self, n_windows: int = 1) -> None:
-        """Advance the cumulative simulation by ``n_windows`` windows (the
-        twin steps as a bank of one)."""
-        TwinBank([self]).advance(n_windows)
-
-    def _restored(self, windows: int) -> None:
-        """Forget what was derived from the history before a restore."""
-        self.windows_advanced = windows
-        self._digest.reset()
-        self._metrics = None
+        """Advance a twin that is a bank of one by ``n_windows`` windows
+        (a member of a larger bank steps only through its bank)."""
+        if n_windows:
+            self.fleet.run(n_windows * self.spec.periods_per_window)
 
     def digest(self) -> str:
         """Canonical digest of the twin's full trace (timing excluded):
@@ -290,15 +265,15 @@ class TwinRunner:
 
     def summary(self) -> dict:
         """The JSON-able cumulative answer for this twin."""
-        trace = self.fleet.trace
+        trace, spec = self.fleet.trace, self.spec
         out = {
-            "scenario": self.scenario,
-            "n_servers": self.n_servers,
-            "engine": self.engine,
-            "budget_frac": self.budget_frac,
+            "scenario": spec.scenario,
+            "n_servers": spec.n_servers,
+            "engine": spec.engine,
+            "budget_frac": spec.budget_frac,
             "windows": self.windows_advanced,
             "rack_periods": len(trace),
-            "topology_hash": self.topology_hash,
+            "topology_hash": spec.topology_hash,
             "digest": self.digest(),
         }
         if len(trace) > 0:
@@ -324,7 +299,7 @@ class TwinRunner:
         return compare_metrics(
             deployed.server_metrics()[:n],
             self.server_metrics()[:n],
-            scenario=f"shadow:{self.scenario}",
+            scenario=f"shadow:{self.spec.scenario}",
         )
 
     def server_metrics(self) -> list[dict[str, float]]:
@@ -339,28 +314,39 @@ class TwinRunner:
             self._metrics = (rows, fleet_server_metrics(*columns))
         return self._metrics[1]
 
-    def close(self) -> None:
-        self.fleet.backend.close()
-
 
 class TwinBank:
-    """Twins advanced in lockstep, their fleets stepped as one
-    :class:`~repro.fleet.engine.FleetBank`.
+    """Twins built from their specs and advanced in lockstep, their fleets
+    stepped as one :class:`~repro.fleet.engine.FleetBank`.
 
-    A bank of several twins holds all their servers in one SoA
-    (:func:`repro.fleet.soa.soa_bank`), so each budget round is one
+    A bank of several twins builds all their servers into one SoA
+    (:func:`repro.fleet.scenarios.soa_bank`), so each budget round is one
     ``run_periods`` call for every member; each twin keeps its own budget
-    tree, trace, summary, digest and equivalence. A bank of one steps its
-    twin's own backend. :func:`bank_twins` decides the membership.
+    tree, trace, summary, digest and equivalence. A bank of several refuses
+    a spec that is not :attr:`~TwinSpec.bankable`. A bank of one builds its
+    twin's fleet on the twin's own backend. :func:`bank_twins` decides the
+    membership.
     """
 
-    def __init__(self, twins: list[TwinRunner]):
-        if len({twin.periods_per_window for twin in twins}) != 1:
+    def __init__(self, specs: list[TwinSpec]):
+        if len({spec.periods_per_window for spec in specs}) != 1:
             raise ConfigurationError("bank members must share periods_per_window")
-        self.twins = list(twins)
-        fleets = [twin.fleet for twin in twins]
-        self.fleets = soa_bank(fleets) if len(fleets) > 1 else FleetBank(fleets)
-        self.periods_per_window = twins[0].periods_per_window
+        if len(specs) == 1:
+            [spec] = specs
+            scenario = fleet_scenario(spec.scenario)
+            self.fleets = FleetBank([scenario.build_fleet(spec.backend, spec.n_servers, spec.seed)])
+        else:
+            for spec in specs:
+                if not spec.bankable:
+                    raise ConfigurationError(
+                        "a bank of several twins holds reference-engine twins of "
+                        f"SoA-capable scenarios only, got {spec}"
+                    )
+            self.fleets = soa_bank([(spec.scenario, spec.n_servers, spec.seed) for spec in specs])
+        for spec, fleet in zip(specs, self.fleets.fleets):
+            fleet.set_budget(fleet.budget_w * spec.budget_frac)
+        self.twins = [TwinRunner(spec, fleet) for spec, fleet in zip(specs, self.fleets.fleets)]
+        self.periods_per_window = specs[0].periods_per_window
 
     @property
     def windows_advanced(self) -> int:
@@ -370,30 +356,32 @@ class TwinBank:
         """Advance every member by ``n_windows`` windows."""
         if n_windows < 0:
             raise ConfigurationError("n_windows must be >= 0")
-        if n_windows == 0:
-            return
-        self.fleets.run(n_windows * self.periods_per_window)
-        for twin in self.twins:
-            twin.windows_advanced += n_windows
+        if n_windows:
+            self.fleets.run(n_windows * self.periods_per_window)
 
     def close(self) -> None:
         self.fleets.backend.close()
 
 
-def bank_twins(twins: list[TwinRunner]) -> list[TwinBank]:
-    """Fresh twins grouped into banks: every :attr:`~TwinRunner.bankable`
-    twin in one bank, each other twin in a bank of its own, in the order
-    of their first members. ``engine=fast`` twins stay alone, because a
-    fast MPC batch moves bits with its shape (:mod:`repro.fleet.soa`), and
-    reference-only scenarios have no SoA to share."""
-    shared = [twin for twin in twins if twin.bankable]
-    banks = []
-    for twin in twins:
-        if not twin.bankable:
-            banks.append(TwinBank([twin]))
-        elif twin is shared[0]:
-            banks.append(TwinBank(shared))
-    return banks
+def bank_twins(specs: Mapping[str, TwinSpec]) -> tuple[dict[str, TwinRunner], list[TwinBank]]:
+    """The twins of ``specs``, by name, and the banks that built them: every
+    :attr:`~TwinSpec.bankable` spec in one bank, each other spec in a bank
+    of its own, in the order of their first members. ``engine=fast`` twins
+    stay alone, because a fast MPC batch moves bits with its shape
+    (:mod:`repro.fleet.soa`), and reference-only scenarios have no SoA to
+    share."""
+    shared = [name for name, spec in specs.items() if spec.bankable]
+    groups = []
+    for name, spec in specs.items():
+        if not spec.bankable:
+            groups.append([name])
+        elif name == shared[0]:
+            groups.append(shared)
+    banks = [TwinBank([specs[name] for name in group]) for group in groups]
+    twins = {
+        name: twin for group, bank in zip(groups, banks) for name, twin in zip(group, bank.twins)
+    }
+    return {name: twins[name] for name in specs}, banks
 
 
 def snapshot_twins(
@@ -411,11 +399,8 @@ def restore_twins(
     nodes: Mapping[str, object],
     twins: Mapping[str, TwinRunner],
     tables: Mapping[str, np.ndarray],
-    windows: int,
 ) -> None:
-    """Load :func:`snapshot_twins` nodes, taken after ``windows`` windows,
-    in one pass into the same twins (same names, same order) freshly built
-    and banked."""
+    """Load :func:`snapshot_twins` nodes in one pass into the same twins
+    (same names, same order) freshly built by their banks; each twin's
+    window count follows from its restored trace."""
     restore(list(nodes.values()), [twin.fleet for twin in twins.values()], tables=tables)
-    for twin in twins.values():
-        twin._restored(windows)

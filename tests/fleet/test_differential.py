@@ -27,8 +27,8 @@ import pytest
 from repro.checkpoint.state import capture, restore
 from repro.errors import ConfigurationError
 from repro.fleet import FleetBank, FleetSimulation, ReferenceBackend, SoaFleetBackend
-from repro.fleet.scenarios import FLEET_SCENARIOS, fleet_scenario
-from repro.fleet.soa import build_scalar_twin, soa_bank
+from repro.fleet.scenarios import FLEET_SCENARIOS, fleet_scenario, soa_bank
+from repro.fleet.soa import build_scalar_twin
 from repro.runner import _canonicalize, canonical_json
 from repro.sim.engine import SimConfig
 from repro.telemetry.trace import Trace
@@ -349,7 +349,7 @@ BANKS = {
 }
 
 
-def bank_members(members):
+def fleets_alone(members):
     """Fresh ``soa`` fleets, one per member, at their budget fractions."""
     fleets = []
     for name, n, seed, frac in members:
@@ -357,6 +357,14 @@ def bank_members(members):
         fleet.set_budget(fleet.budget_w * frac)
         fleets.append(fleet)
     return fleets
+
+
+def bank_of(members):
+    """The members' fleets built as one bank, at their budget fractions."""
+    bank = soa_bank([(name, n, seed) for name, n, seed, _ in members])
+    for fleet, (*_, frac) in zip(bank.fleets, members):
+        fleet.set_budget(fleet.budget_w * frac)
+    return bank
 
 
 def run_with_budget_cut(run, fleets):
@@ -369,12 +377,12 @@ def run_with_budget_cut(run, fleets):
 
 @pytest.mark.parametrize("bank", sorted(BANKS))
 def test_bank_members_match_fleets_run_alone(bank):
-    alone = bank_members(BANKS[bank])
+    alone = fleets_alone(BANKS[bank])
     for fleet in alone:
         run_with_budget_cut(fleet.run, [fleet])
-    banked = bank_members(BANKS[bank])
-    run_with_budget_cut(soa_bank(banked).run, banked)
-    assert [fleet_digests(f) for f in banked] == [fleet_digests(f) for f in alone]
+    banked = bank_of(BANKS[bank])
+    run_with_budget_cut(banked.run, banked.fleets)
+    assert [fleet_digests(f) for f in banked.fleets] == [fleet_digests(f) for f in alone]
 
 
 def test_bank_snapshot_restore_mid_run():
@@ -382,49 +390,45 @@ def test_bank_snapshot_restore_mid_run():
     restored in one call into a fresh bank, continues as the uninterrupted
     bank does."""
     members = BANKS["mixed"]
-    straight = bank_members(members)
-    run_with_budget_cut(soa_bank(straight).run, straight)
+    straight = bank_of(members)
+    run_with_budget_cut(straight.run, straight.fleets)
 
-    first = bank_members(members)
-    bank = soa_bank(first)
-    bank.run(2)
-    nodes = capture(*first)
-    for fleet in first:
+    first = bank_of(members)
+    first.run(2)
+    nodes = capture(*first.fleets)
+    for fleet in first.fleets:
         fleet.set_budget(fleet.budget_w * 0.97)
-    bank.run(2)
+    first.run(2)
 
-    resumed = bank_members(members)
-    bank = soa_bank(resumed)
-    restore(nodes, resumed)
-    for fleet in resumed:
+    resumed = bank_of(members)
+    restore(nodes, resumed.fleets)
+    for fleet in resumed.fleets:
         fleet.set_budget(fleet.budget_w * 0.97)
-    bank.run(2)
+    resumed.run(2)
 
-    want = [fleet_digests(f) for f in straight]
-    assert [fleet_digests(f) for f in first] == want
-    assert [fleet_digests(f) for f in resumed] == want
+    want = [fleet_digests(f) for f in straight.fleets]
+    assert [fleet_digests(f) for f in first.fleets] == want
+    assert [fleet_digests(f) for f in resumed.fleets] == want
 
 
 def test_bank_slice_refuses_out_of_range_servers_and_stepping():
-    fleets = bank_members(BANKS["caps"])
-    soa_bank(fleets).run(1)
-    rows = fleets[1].backend
+    bank = bank_of(BANKS["caps"])
+    bank.run(1)
+    rows = bank.fleets[1].backend
     assert rows.names == [f"s{i:04d}" for i in range(8)]
     for index in (-1, 8):
         with pytest.raises(ConfigurationError, match="out of range"):
             rows.server_trace(index)
     with pytest.raises(ConfigurationError, match="through its bank"):
-        fleets[1].run(1)
+        bank.fleets[1].run(1)
 
 
 def test_bank_refuses_what_it_cannot_step_exactly():
+    """A bank is built from scenario specs, so only a reference-only
+    scenario (no specs) and rounds of another length are left to refuse."""
+    with pytest.raises(ConfigurationError, match="reference-only"):
+        soa_bank([("tree-static", 4, 0), ("paper-rack", 2, 0)])
     scenario = fleet_scenario("tree-static")
-    with pytest.raises(ConfigurationError, match="got a FastFleetBackend"):
-        soa_bank([scenario.build_fleet("soa", 4), scenario.build_fleet("fast", 4)])
-    ran = scenario.build_fleet("soa", 4)
-    ran.run(1)
-    with pytest.raises(ConfigurationError, match="at period 3"):
-        soa_bank([scenario.build_fleet("soa", 4), ran])
     fleets = [scenario.build_fleet("soa", 4) for _ in range(2)]
     fleets[1].periods_per_rack_period = 2
     with pytest.raises(ConfigurationError, match="periods_per_rack_period"):

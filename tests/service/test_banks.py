@@ -1,12 +1,16 @@
 """Twins that step as banks: what a twin answers does not depend on the
-twins banked with it, and shedding never leaves a bank member behind."""
+twins banked with it, a bank builds one SoA for all its members, and
+shedding never leaves a bank member behind."""
 
 import warnings
 
 import pytest
 
+from repro.errors import ConfigurationError
+from repro.fleet.soa import SoaFleetBackend
 from repro.service import DigitalTwinService, ServiceConfig, offline_whatif, parse_shadow_specs
 from repro.service.events import heartbeat, make_event
+from repro.service.shadow import TwinBank, TwinSpec
 
 SCENARIO = "tree-static"
 N = 4
@@ -60,10 +64,51 @@ def test_digests_equal_one_twin_at_a_time(shadows):
 
 def test_bank_membership_follows_engine_and_scenario():
     service = service_with(SHADOW_SETS["mixed"])
-    members = [[twin.engine for twin in bank.twins] for bank in service.banks]
+    members = [[twin.spec.engine for twin in bank.twins] for bank in service.banks]
     assert members == [["reference"] * 4, ["fast"]]
     assert service.banks[0].twins[0] is service.deployed
     service.close()
+
+
+@pytest.fixture
+def soa_builds(monkeypatch):
+    """How many ``SoaFleetBackend``s (fast ones included) get built."""
+    built = []
+    init = SoaFleetBackend.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(len(args[0]))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SoaFleetBackend, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize(
+    ("shadows", "servers"), [("none", N), ("two-caps", 3 * N), ("eight-caps", 9 * N)]
+)
+def test_a_service_builds_one_soa(soa_builds, shadows, servers):
+    """Every reference twin's servers are built once, into the bank's SoA;
+    no twin builds a backend of its own that the bank then drops."""
+    service_with(SHADOW_SETS[shadows]).close()
+    assert soa_builds == [servers]
+
+
+def test_a_cold_whatif_builds_one_soa(soa_builds):
+    offline_whatif(SCENARIO, N, 1, shadows=parse_shadow_specs("cap=80"))
+    assert soa_builds == [2 * N]
+
+
+@pytest.mark.parametrize("shadow", ["cap=60+engine=fast", "scenario=paper-rack"])
+def test_a_bank_of_several_refuses_a_twin_it_cannot_step_exactly(shadow):
+    """A fast twin's MPC batch moves bits with its shape and a
+    reference-only scenario has no SoA rows, so neither joins a bank of
+    several; alone, each builds its own backend."""
+    deployed = TwinSpec(SCENARIO, N)
+    other = deployed.shadow(parse_shadow_specs(shadow)[0])
+    with pytest.raises(ConfigurationError, match="a bank of several twins"):
+        TwinBank([deployed, other])
+    TwinBank([other]).close()
 
 
 def test_rung_3_sheds_the_answers_and_keeps_stepping_the_shadows():

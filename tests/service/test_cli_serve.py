@@ -358,6 +358,28 @@ class TestMalformedManifest:
             assert line.startswith("serve: journal manifest "), line
             assert f"'config.{field}'" in line, line
 
+    def test_repeated_shadow_is_refused_before_any_twin(
+        self, tmp_path, trace_path, capsys, monkeypatch
+    ):
+        from repro.service import ServiceConfig, ServiceJournal
+        from repro.service.shadow import TwinBank, parse_shadow_specs
+
+        journal_dir = tmp_path / "svc"
+        config = ServiceConfig(n_servers=2, shadows=parse_shadow_specs("cap=80"))
+        ServiceJournal.create(journal_dir, config.to_dict())
+        manifest = journal_dir / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["config"]["shadows"] = ["cap=80", "cap=80"]
+        manifest.write_text(json.dumps(data))
+        banks = []
+        monkeypatch.setattr(TwinBank, "__init__", lambda self, specs: banks.append(specs))
+        code = main(
+            ["serve", "--resume", str(journal_dir), "--replay", str(trace_path), "--oneshot"]
+        )
+        out, err = capsys.readouterr()
+        assert (code, out, banks) == (2, "", [])
+        assert err.splitlines() == ["serve: duplicate shadow specs: ['cap=80', 'cap=80']"]
+
 
 @pytest.mark.chaos
 class TestSignalExitCodes:

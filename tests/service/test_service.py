@@ -65,6 +65,13 @@ class TestServiceConfig:
         with pytest.raises(ConfigurationError):
             ServiceConfig(scenario=SCENARIO, **kwargs)
 
+    def test_rejects_a_repeated_shadow(self):
+        [spec] = parse_shadow_specs("cap=80")
+        with pytest.raises(ConfigurationError, match="duplicate shadow specs"):
+            ServiceConfig(scenario=SCENARIO, shadows=(spec, spec))
+        with pytest.raises(ConfigurationError, match="duplicate shadow specs"):
+            offline_whatif(SCENARIO, N, 1, shadows=(spec, spec))
+
 
 class TestStreaming:
     def test_windows_advance_twins(self):

@@ -8,14 +8,19 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.service.shadow import (
     ShadowSpec,
-    TwinRunner,
+    TwinBank,
+    TwinSpec,
     parse_shadow_spec,
     parse_shadow_specs,
-    topology_hash,
 )
 
 SCENARIO = "tree-static"
 N = 4
+
+
+def twin(**fields):
+    """A twin of ``SCENARIO`` built, as every twin is, by its bank (of one)."""
+    return TwinBank([TwinSpec(SCENARIO, N, **fields)]).twins[0]
 
 
 class TestParseShadowSpec:
@@ -61,76 +66,106 @@ class TestParseShadowSpec:
 
 class TestTopologyHash:
     def test_sensitive_to_every_field(self):
-        base = topology_hash(SCENARIO, N, 1, 0)
-        assert topology_hash(SCENARIO, N + 1, 1, 0) != base
-        assert topology_hash(SCENARIO, N, 2, 0) != base
-        assert topology_hash(SCENARIO, N, 1, 1) != base
-        assert topology_hash(SCENARIO, N, 1, 0, budget_frac=0.8) != base
-        assert topology_hash(SCENARIO, N, 1, 0, engine="fast") != base
+        base = TwinSpec(SCENARIO, N, 1, 0).topology_hash
+        assert TwinSpec("fair-static", N, 1, 0).topology_hash != base
+        assert TwinSpec(SCENARIO, N + 1, 1, 0).topology_hash != base
+        assert TwinSpec(SCENARIO, N, 2, 0).topology_hash != base
+        assert TwinSpec(SCENARIO, N, 1, 1).topology_hash != base
+        assert TwinSpec(SCENARIO, N, 1, 0, budget_frac=0.8).topology_hash != base
+        assert TwinSpec(SCENARIO, N, 1, 0, engine="fast").topology_hash != base
 
     def test_stable(self):
-        assert topology_hash(SCENARIO, N, 1, 0) == topology_hash(SCENARIO, N, 1, 0)
+        assert TwinSpec(SCENARIO, N, 1, 0).topology_hash == TwinSpec(SCENARIO, N).topology_hash
+        # A journal's manifest records the deployed hash and resume
+        # compares it, so the hash of a spec must never move.
+        assert TwinSpec(SCENARIO, N).topology_hash == (
+            "fb3486648d6a3a234cd0cc6fd7a821a3e6899f2eb3bc99bb18ee14b288d92337"
+        )
+
+
+class TestTwinSpec:
+    def test_shadow_applies_deltas(self):
+        deployed = TwinSpec(SCENARIO, N, 2, 3)
+        assert deployed.shadow(parse_shadow_spec("cap=80")) == TwinSpec(
+            SCENARIO, N, 2, 3, budget_frac=0.8
+        )
+        assert deployed.shadow(
+            parse_shadow_spec("scenario=mpc-static+engine=fast")
+        ) == TwinSpec("mpc-static", N, 2, 3, engine="fast")
+
+    @pytest.mark.parametrize(
+        ("scenario", "engine", "backend"),
+        [
+            ("tree-static", "reference", "soa"),
+            ("mpc-static", "reference", "soa"),
+            ("tree-static", "fast", "fast"),
+            ("paper-rack", "reference", "reference"),
+        ],
+    )
+    def test_backend_and_bankable(self, scenario, engine, backend):
+        spec = TwinSpec(scenario, 2, engine=engine)
+        assert spec.backend == backend
+        assert spec.bankable == (backend == "soa")
 
 
 class TestTwinRunner:
     def test_advance_is_chunking_invariant(self):
-        one_shot = TwinRunner(SCENARIO, N)
+        one_shot = twin()
         one_shot.advance(3)
-        stepped = TwinRunner(SCENARIO, N)
+        stepped = twin()
         for _ in range(3):
             stepped.advance(1)
         assert one_shot.digest() == stepped.digest()
         assert one_shot.summary() == stepped.summary()
 
     def test_seed_changes_trajectory(self):
-        a = TwinRunner(SCENARIO, N, seed=0)
-        b = TwinRunner(SCENARIO, N, seed=1)
+        a = twin(seed=0)
+        b = twin(seed=1)
         a.advance(2)
         b.advance(2)
         assert a.digest() != b.digest()
 
     def test_budget_frac_scales_budget(self):
-        full = TwinRunner(SCENARIO, N)
-        capped = TwinRunner(SCENARIO, N, budget_frac=0.8)
+        full = twin()
+        capped = twin(budget_frac=0.8)
         assert capped.fleet.budget_w == pytest.approx(full.fleet.budget_w * 0.8)
 
-    def test_for_shadow_applies_deltas(self):
-        spec = parse_shadow_spec("cap=80")
-        twin = TwinRunner.for_shadow(spec, SCENARIO, N, 1, 0)
-        assert twin.budget_frac == pytest.approx(0.8)
-        assert twin.scenario == SCENARIO
-
     def test_summary_before_advance_has_no_power(self):
-        twin = TwinRunner(SCENARIO, N)
-        summary = twin.summary()
+        summary = twin().summary()
         assert summary["windows"] == 0
         assert "total_power_w" not in summary
 
     def test_summary_carries_digest_and_hash(self):
-        twin = TwinRunner(SCENARIO, N)
-        twin.advance(1)
-        summary = twin.summary()
-        assert summary["digest"] == twin.digest()
-        assert summary["topology_hash"] == twin.topology_hash
+        runner = twin(periods_per_window=2)
+        runner.advance(1)
+        summary = runner.summary()
+        assert summary["digest"] == runner.digest()
+        assert summary["topology_hash"] == runner.spec.topology_hash
+        assert (summary["windows"], summary["rack_periods"]) == (1, 2)
         assert summary["tracking_err_w"] == pytest.approx(
             summary["total_power_w"] - summary["budget_w"]
         )
 
     def test_equiv_vs_self_is_ok(self):
-        a = TwinRunner(SCENARIO, N)
-        b = TwinRunner(SCENARIO, N)
+        a = twin()
+        b = twin()
         a.advance(2)
         b.advance(2)
         report = a.equiv_vs(b)
         assert report.ok
 
     def test_rejects_bad_configuration(self):
-        with pytest.raises(ConfigurationError):
-            TwinRunner(SCENARIO, N, periods_per_window=0)
-        with pytest.raises(ConfigurationError):
-            TwinRunner(SCENARIO, N, budget_frac=0.0)
-        with pytest.raises(ConfigurationError):
-            TwinRunner(SCENARIO, N, engine="turbo")
+        """A twin's configuration is its spec, refused before any fleet is
+        built."""
+        for fields in (
+            {"periods_per_window": 0},
+            {"budget_frac": 0.0},
+            {"engine": "turbo"},
+            {"n_servers": 0},
+            {"scenario": "nope"},
+        ):
+            with pytest.raises(ConfigurationError):
+                TwinSpec(**{"scenario": SCENARIO, "n_servers": N, **fields})
 
     def test_shadow_spec_dataclass_is_frozen(self):
         spec = parse_shadow_spec("cap=80")
