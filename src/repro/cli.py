@@ -29,7 +29,30 @@ from ._version import __version__
 __all__ = ["main", "build_parser"]
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type`` for an int no smaller than ``minimum``, so a bad
+    value exits 2 at parse time instead of failing a run."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+#: numpy's generators refuse a negative seed, and a fleet needs a server.
+_seed = _int_at_least(0)
+_fleet_size = _int_at_least(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .fleet.scenarios import FLEET_BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CapGPU reproduction — run paper experiments on the simulated testbed",
@@ -45,24 +68,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment id from 'capgpu list', or 'all' "
              "(defaults to fig9-scale with --fleet)",
     )
-    run_p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
+    run_p.add_argument("--seed", type=_seed, default=0, help="root seed (default 0)")
     run_p.add_argument(
         "--fleet", action="store_true",
         help="fleet mode: default the experiment to fig9-scale (hierarchical "
              "budget reallocation over many servers)",
     )
     run_p.add_argument(
-        "--fleet-servers", type=int, default=None, metavar="N",
+        "--fleet-servers", type=_fleet_size, default=None, metavar="N",
         help="fleet size for fleet-capable experiments (e.g. fig9-scale; "
              "default 64)",
     )
     run_p.add_argument(
         "--fleet-backend",
-        choices=("soa", "reference", "fast", "fast-parallel"),
+        choices=FLEET_BACKENDS,
         default=None,
         help="fleet stepping backend: 'soa' (vectorized, default) or "
-             "'reference' (N scalar engines, bit-identical); 'fast' / "
-             "'fast-parallel' require --engine fast",
+             "'reference' (N scalar engines, bit-identical); 'fast' "
+             "requires --engine fast",
     )
     run_p.add_argument(
         "--engine", choices=("reference", "fast"), default=None,
@@ -104,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment ids, 'all', or 'ablation' (expands to ablation-*); "
              "omitted when resuming (ids come from the journal manifest)",
     )
-    sweep_p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
+    sweep_p.add_argument("--seed", type=_seed, default=0, help="root seed (default 0)")
     sweep_p.add_argument(
         "--jobs", type=int, default=0, metavar="N",
         help="worker processes (default 0 = one per CPU core; 1 = run inline)",
@@ -120,13 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
              "set_point_w; others run once)",
     )
     sweep_p.add_argument(
-        "--fleet-servers", type=int, default=None, metavar="N",
+        "--fleet-servers", type=_fleet_size, default=None, metavar="N",
         help="fleet size for fleet-capable experiments in the sweep "
              "(e.g. fig9-scale; others ignore it)",
     )
     sweep_p.add_argument(
         "--fleet-backend",
-        choices=("soa", "reference", "fast", "fast-parallel"),
+        choices=FLEET_BACKENDS,
         default=None,
         help="fleet stepping backend for fleet-capable experiments",
     )
@@ -196,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
              "plus per-phase wall times",
     )
     prof_p.add_argument("experiment", help="experiment id from 'repro list'")
-    prof_p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
+    prof_p.add_argument("--seed", type=_seed, default=0, help="root seed (default 0)")
     prof_p.add_argument(
         "--sort", default="cumulative", metavar="KEY",
         help="pstats sort key: cumulative, tottime, calls, ... "
@@ -214,12 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     stab_p = sub.add_parser(
         "stability", help="print the Section 4.4 stable gain-variation range"
     )
-    stab_p.add_argument("--seed", type=int, default=0)
+    stab_p.add_argument("--seed", type=_seed, default=0)
 
     ident_p = sub.add_parser(
         "identify", help="run system identification and print the model + validation"
     )
-    ident_p.add_argument("--seed", type=int, default=0)
+    ident_p.add_argument("--seed", type=_seed, default=0)
     ident_p.add_argument("--points", type=int, default=8,
                          help="excitation points per channel")
 
@@ -228,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the fault-injection study (settling time and cap-violation "
              "rate per fault class; see docs/robustness.md)",
     )
-    faults_p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
+    faults_p.add_argument("--seed", type=_seed, default=0, help="root seed (default 0)")
     faults_p.add_argument(
         "--set-point", type=float, default=900.0, dest="set_point_w",
         help="power budget in watts (default 900)",
@@ -276,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="run experiments and write a markdown reproduction report"
     )
     rep_p.add_argument("-o", "--output", default="report.md")
-    rep_p.add_argument("--seed", type=int, default=0)
+    rep_p.add_argument("--seed", type=_seed, default=0)
     rep_p.add_argument(
         "--ids", nargs="*", default=None,
         help="experiment ids to include (default: all)",
@@ -329,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rack periods the twins advance per closed window (default 1)",
     )
     serve_p.add_argument(
-        "--seed", type=int, default=None, help="twin seed (default 0)"
+        "--seed", type=_seed, default=None, help="twin seed (default 0)"
     )
     serve_p.add_argument(
         "--shadows", default=None, metavar="SPECS",
@@ -408,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--periods-per-window", type=int, default=1, metavar="N",
         help="rack periods per window (default 1)",
     )
-    twin_p.add_argument("--seed", type=int, default=0, help="twin seed (default 0)")
+    twin_p.add_argument("--seed", type=_seed, default=0, help="twin seed (default 0)")
     twin_p.add_argument(
         "--shadow", action="append", default=None, metavar="SPEC",
         help="shadow what-if spec (repeatable), e.g. --shadow cap=80",
@@ -507,7 +530,7 @@ def _activate_engine(engine: str | None) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     from .experiments import experiment_ids, run_experiment
 
-    if args.fleet_backend in ("fast", "fast-parallel") and args.engine != "fast":
+    if args.fleet_backend == "fast" and args.engine != "fast":
         raise SystemExit(
             f"repro run: --fleet-backend {args.fleet_backend} changes float "
             "semantics; opt in explicitly with --engine fast"
@@ -615,6 +638,7 @@ def _sweep_jobs_and_journal(args: argparse.Namespace):
     from .checkpoint import SweepJournal
     from .checkpoint.wal import manifest_field
     from .errors import CheckpointError, ConfigurationError, ExperimentError
+    from .fleet.scenarios import FLEET_BACKENDS
     from .runner import JobRecord, build_jobs
 
     if args.resume:
@@ -627,8 +651,9 @@ def _sweep_jobs_and_journal(args: argparse.Namespace):
         journal = SweepJournal.open(args.resume)
         manifest = journal.manifest()
         extra = manifest_field(manifest, "extra_params", dict)
-        if "engine" in extra:
-            manifest_field(extra, "engine", str, section="extra_params.")
+        for key in ("engine", "backend"):
+            if key in extra:
+                manifest_field(extra, key, str, section="extra_params.")
         experiments = manifest_field(manifest, "experiments", list, str)
         seed = manifest_field(manifest, "seed", int)
         replicates = manifest_field(manifest, "replicates", int)
@@ -636,6 +661,11 @@ def _sweep_jobs_and_journal(args: argparse.Namespace):
             manifest, "set_points_w", (list, type(None)), (int, float)
         )
         try:
+            if "backend" in extra and extra["backend"] not in FLEET_BACKENDS:
+                raise ConfigurationError(
+                    f"unknown fleet backend {extra['backend']!r}; "
+                    f"have {', '.join(FLEET_BACKENDS)}"
+                )
             # Re-apply the recorded engine so resumed jobs build under the
             # same semantics the sweep started with.
             _activate_engine(extra.get("engine"))
@@ -647,7 +677,7 @@ def _sweep_jobs_and_journal(args: argparse.Namespace):
                 extra_params=extra or None,
             )
         except (ConfigurationError, ExperimentError) as exc:
-            # An engine or experiment id this build does not know.
+            # A fleet backend, engine or experiment id this build does not know.
             raise CheckpointError(
                 f"{journal.manifest_path}: {exc} — resume would not be bit-identical"
             ) from exc
@@ -671,7 +701,7 @@ def _sweep_jobs_and_journal(args: argparse.Namespace):
 
     if not args.experiments:
         raise SystemExit("repro sweep: experiment ids required (or --resume DIR)")
-    if args.fleet_backend in ("fast", "fast-parallel") and args.engine != "fast":
+    if args.fleet_backend == "fast" and args.engine != "fast":
         raise SystemExit(
             f"repro sweep: --fleet-backend {args.fleet_backend} changes float "
             "semantics; opt in explicitly with --engine fast"

@@ -292,7 +292,6 @@ def run_fleet_equivalence(
     scenario: str = "mpc-static",
     n_servers: int | None = None,
     n_rounds: int = 8,
-    backend: str = "fast",
     tolerances: tuple[ToleranceSpec, ...] = TOLERANCES,
     curtail_fraction: float = 0.04,
 ) -> EquivReport:
@@ -302,36 +301,24 @@ def run_fleet_equivalence(
     (``curtail_fraction``) so the comparison covers a transient — settle
     times are only meaningful when something changes. The reference side
     uses the SoA backend (differential-pinned bit-identical to the scalar
-    reference); ``backend`` picks the fast side (``fast`` or
-    ``fast-parallel``).
+    reference), the fast side the ``fast`` backend.
     """
     from .fleet.scenarios import fleet_scenario
 
-    if backend not in ("fast", "fast-parallel"):
-        raise ConfigurationError(
-            f"equivalence compares the reference against a fast backend, "
-            f"got {backend!r}"
-        )
     if n_rounds < 2:
         raise ConfigurationError("n_rounds must be >= 2 (pre and post cut)")
     sc = fleet_scenario(scenario)
     fleets = []
-    for be in ("soa", backend):
+    for be in ("soa", "fast"):
         fleet = sc.build_fleet(be, n_servers)
         half = n_rounds // 2
         fleet.run(half)
         fleet.set_budget(fleet.budget_w * (1.0 - curtail_fraction))
         fleet.run(n_rounds - half)
         fleets.append(fleet)
-    try:
-        report = compare_backends(
-            fleets[0].backend, fleets[1].backend,
-            scenario=scenario, tolerances=tolerances,
-        )
-    finally:
-        for fleet in fleets:
-            fleet.backend.close()
-    return report
+    return compare_backends(
+        fleets[0].backend, fleets[1].backend, scenario=scenario, tolerances=tolerances
+    )
 
 
 def run_scalar_capgpu_equivalence(

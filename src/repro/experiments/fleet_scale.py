@@ -62,15 +62,12 @@ def run_fig9_scale(
         )
     # Seeds re-randomize every server's noise, not the topology.
     fleet = sc.build_fleet(backend, n_servers, seed)
-    try:
-        full_budget_w = fleet.budget_w
-        half = n_rack_periods // 2
-        fleet.run(half)
-        fleet.set_budget(full_budget_w * (1.0 - CURTAIL_FRACTION))
-        fleet.run(n_rack_periods - half)
-        powers = np.asarray(fleet.backend.last_powers())
-    finally:
-        fleet.backend.close()  # fast-parallel owns worker processes + shm
+    full_budget_w = fleet.budget_w
+    half = n_rack_periods // 2
+    fleet.run(half)
+    fleet.set_budget(full_budget_w * (1.0 - CURTAIL_FRACTION))
+    fleet.run(n_rack_periods - half)
+    powers = np.asarray(fleet.backend.last_powers())
 
     result = ExperimentResult(
         "fig9-scale",

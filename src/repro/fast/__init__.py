@@ -4,12 +4,10 @@ Everything under ``repro.fast`` is allowed to change float semantics, and
 it relaxes one thing: pre-solved MPC gains (one factorization reused
 across servers and ticks, plus pre-solved cap-projection caches). The
 fleet's tick and its fixed-step bank are the SoA backend's, shared
-unchanged; ``ParallelFleetBackend`` shards such a fleet over worker
-processes. The
-reference engine stays untouched as ground truth; ``repro.equiv`` verifies
-the fast engine against it with explicit statistical tolerances
-(distributions of power error, cap violations and settle times), never
-with digests.
+unchanged, and a fleet steps in one process. The reference engine stays
+untouched as ground truth; ``repro.equiv`` verifies the fast engine
+against it with explicit statistical tolerances (distributions of power
+error, cap violations and settle times), never with digests.
 
 Opt in per process with ``REPRO_ENGINE=fast`` / ``--engine fast`` or
 programmatically with :func:`repro.enginemode.set_engine`; the switch lives
@@ -30,7 +28,6 @@ from typing import Any
 __all__ = [
     "FastMimoPowerMpc",
     "FastFleetBackend",
-    "ParallelFleetBackend",
 ]
 
 # Heavy submodules load lazily: ``repro.fast`` must stay importable
@@ -38,7 +35,6 @@ __all__ = [
 _LAZY = {
     "FastMimoPowerMpc": ("repro.fast.mpc", "FastMimoPowerMpc"),
     "FastFleetBackend": ("repro.fast.fleet", "FastFleetBackend"),
-    "ParallelFleetBackend": ("repro.fast.parallel", "ParallelFleetBackend"),
 }
 
 

@@ -171,9 +171,6 @@ class FleetBackend:
         if not 0 <= index < self.n_servers:
             raise ConfigurationError(f"server index {index} out of range")
 
-    def close(self) -> None:
-        """Release worker processes and shared memory (none by default)."""
-
 
 class ReferenceBackend(FleetBackend):
     """N scalar :class:`ServerSimulation` loops — the original rack body.

@@ -36,12 +36,15 @@ from .soa import SoaFleetBackend, SoaRows, SoaServerSpec, build_scalar_twin
 from .tree import BudgetTree
 
 __all__ = [
+    "FLEET_BACKENDS",
     "FleetScenario",
     "FLEET_SCENARIOS",
     "fleet_scenario",
-    "fleet_scenario_names",
     "soa_bank",
 ]
+
+#: The backend names :meth:`FleetScenario.build_fleet` takes.
+FLEET_BACKENDS = ("reference", "soa", "fast")
 
 
 class FleetScenario:
@@ -135,8 +138,8 @@ class FleetScenario:
     def build_fleet(
         self, backend: str = "reference", n_servers: int | None = None, seed: int = 0
     ) -> FleetSimulation:
-        """The scenario's fleet on ``backend`` (``reference``, ``soa``,
-        ``fast`` or ``fast-parallel``); ``seed`` as in :meth:`specs`."""
+        """The scenario's fleet on ``backend``, one of
+        :data:`FLEET_BACKENDS`; ``seed`` as in :meth:`specs`."""
         n = self.n_servers if n_servers is None else n_servers
         be: FleetBackend
         if backend == "reference":
@@ -147,14 +150,9 @@ class FleetScenario:
             from ..fast.fleet import FastFleetBackend
 
             be = FastFleetBackend(self.specs(n, seed))
-        elif backend == "fast-parallel":
-            from ..fast.parallel import ParallelFleetBackend
-
-            be = ParallelFleetBackend(self.specs(n, seed))
         else:
             raise ConfigurationError(
-                f"unknown fleet backend {backend!r}; have reference, soa, "
-                f"fast, fast-parallel"
+                f"unknown fleet backend {backend!r}; have {', '.join(FLEET_BACKENDS)}"
             )
         return self._fleet_on(be)
 
@@ -322,11 +320,6 @@ def fleet_scenario(name: str) -> FleetScenario:
         raise ConfigurationError(
             f"unknown fleet scenario {name!r}; have {sorted(FLEET_SCENARIOS)}"
         ) from None
-
-
-def fleet_scenario_names() -> list[str]:
-    """Registered scenario names, sorted."""
-    return sorted(FLEET_SCENARIOS)
 
 
 def soa_bank(members: list[tuple[str, int, int]]) -> FleetBank:

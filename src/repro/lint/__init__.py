@@ -48,7 +48,7 @@ from .layers import (
     discover_layer_contract,
     load_layer_contract,
 )
-from .rules import ALL_RULES, Rule, rule_by_id
+from .rules import ALL_RULES, Rule
 
 __all__ = [
     "ALL_RULES",
@@ -68,7 +68,6 @@ __all__ = [
     "discover_layer_contract",
     "load_baseline",
     "load_layer_contract",
-    "rule_by_id",
     "run_lint",
     "write_baseline",
 ]

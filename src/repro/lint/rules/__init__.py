@@ -44,7 +44,7 @@ from .units_rules import (
     MixedUnitArithmeticRule,
 )
 
-__all__ = ["ALL_RULES", "Rule", "rule_by_id"]
+__all__ = ["ALL_RULES", "Rule"]
 
 ALL_RULES: tuple[Rule, ...] = (
     WallClockRule(),
@@ -72,10 +72,3 @@ ALL_RULES: tuple[Rule, ...] = (
     ImportCycleRule(),
     StdlibOnlyRule(),
 )
-
-
-def rule_by_id(rule_id: str) -> Rule | None:
-    for rule in ALL_RULES:
-        if rule.id == rule_id:
-            return rule
-    return None

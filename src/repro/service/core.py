@@ -496,9 +496,7 @@ class DigitalTwinService:
         self.rebuilds_total += 1
 
     def _replace_twins(self) -> None:
-        """Close the twins and build fresh ones, at window 0."""
-        for bank in self.banks:
-            bank.close()
+        """Build fresh twins, at window 0."""
         self.twins, self.banks = bank_twins(self.config.twin_specs())
 
     def _file_in_cache(self, entry: dict) -> None:
@@ -643,8 +641,6 @@ class DigitalTwinService:
         return counters
 
     def close(self) -> None:
-        for bank in self.banks:
-            bank.close()
         if self.journal is not None:
             self.journal.close()
 
@@ -671,17 +667,13 @@ def offline_whatif(
     )
     twins, banks = bank_twins(config.twin_specs())
     deployed = twins.pop("deployed")
-    try:
-        for bank in banks:
-            bank.advance(n_windows)
-        return {
-            "windows": n_windows,
-            "deployed": deployed.summary(),
-            "shadows": {
-                name: _shadow_answer(twin, deployed)
-                for name, twin in twins.items()
-            },
-        }
-    finally:
-        for bank in banks:
-            bank.close()
+    for bank in banks:
+        bank.advance(n_windows)
+    return {
+        "windows": n_windows,
+        "deployed": deployed.summary(),
+        "shadows": {
+            name: _shadow_answer(twin, deployed)
+            for name, twin in twins.items()
+        },
+    }

@@ -359,9 +359,6 @@ class TwinBank:
         if n_windows:
             self.fleets.run(n_windows * self.periods_per_window)
 
-    def close(self) -> None:
-        self.fleets.backend.close()
-
 
 def bank_twins(specs: Mapping[str, TwinSpec]) -> tuple[dict[str, TwinRunner], list[TwinBank]]:
     """The twins of ``specs``, by name, and the banks that built them: every

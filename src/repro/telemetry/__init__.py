@@ -5,7 +5,6 @@ observe flows through this package, with realistic sampling, quantization,
 noise and counter semantics (see DESIGN.md's substitution table).
 """
 
-from .ipmi import SensorReading, SimulatedIpmi
 from .monitors import ThroughputMonitor, UtilizationMonitor
 from .nvml import NvmlDeviceHandle, SimulatedNvml
 from .power_meter import AcpiPowerMeter, PowerSample
@@ -32,6 +31,4 @@ __all__ = [
     "trace_from_csv",
     "save_trace_npz",
     "load_trace_npz",
-    "SimulatedIpmi",
-    "SensorReading",
 ]

@@ -40,19 +40,9 @@ class TestRegisteredScenarios:
         report = run_fleet_equivalence(scenario, n_rounds=6)
         assert report.ok, "\n" + report.render()
 
-    def test_parallel_backend_equivalence(self):
-        report = run_fleet_equivalence(
-            "mpc-static", n_servers=4, n_rounds=4, backend="fast-parallel"
-        )
-        assert report.ok, "\n" + report.render()
-
     def test_scalar_capgpu_equivalence(self):
         report = run_scalar_capgpu_equivalence(seed=0, n_periods=25)
         assert report.ok, "\n" + report.render()
-
-    def test_rejects_non_fast_backend(self):
-        with pytest.raises(ConfigurationError):
-            run_fleet_equivalence("mpc-static", backend="soa")
 
     def test_rejects_single_round(self):
         with pytest.raises(ConfigurationError):

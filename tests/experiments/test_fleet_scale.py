@@ -1,15 +1,11 @@
 """The fig9-scale experiment: hierarchical reallocation at fleet scale."""
 
-from multiprocessing import shared_memory
-
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import run_experiment
 from repro.experiments.fleet_scale import CURTAIL_FRACTION, run_fig9_scale
-from repro.fleet import FleetSimulation
-from repro.fleet.scenarios import FleetScenario
 
 
 class TestFig9Scale:
@@ -54,26 +50,3 @@ class TestFig9Scale:
             run_fig9_scale(n_servers=4, backend="gpu")
         with pytest.raises(ConfigurationError):
             run_fig9_scale(n_servers=2, scenario="paper-rack")
-
-    def test_failed_parallel_run_stops_its_workers(self, monkeypatch):
-        """A run that raises still closes the backend: the workers stop and
-        the shared memory is unlinked without waiting for ``__del__``."""
-        backends = []
-        build_fleet = FleetScenario.build_fleet
-
-        def recording_build(scenario, *args):
-            fleet = build_fleet(scenario, *args)
-            backends.append(fleet.backend)
-            return fleet
-
-        def failing_run(fleet, n_rack_periods):
-            raise RuntimeError("budget round failed")
-
-        monkeypatch.setattr(FleetScenario, "build_fleet", recording_build)
-        monkeypatch.setattr(FleetSimulation, "run", failing_run)
-        with pytest.raises(RuntimeError, match="budget round failed"):
-            run_fig9_scale(n_servers=2, backend="fast-parallel", n_rack_periods=2)
-        [backend] = backends
-        assert not any(proc.is_alive() for proc in backend._procs)
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=backend._shm.name)

@@ -42,9 +42,9 @@ pin a digest outside the corpus use them:
     the digest one ``repro twin --scenario <scenario> --servers 8
     --windows 6 --seed <seed>`` reports for ``<twin>``: ``deployed`` or a
     shadow spec such as ``cap=60+engine=fast``;
-``fleet/<scenario>/fast``, ``fleet/<scenario>/fast-parallel``
+``fleet/<scenario>/fast``
     a scenario that supports the SoA backend, run as its corpus entry is,
-    on a fast-engine backend.
+    on the fast-engine backend.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ CHAOS_ENTRIES = frozenset(
 )
 
 FLEET_MAX_SERVERS = 8
-FAST_BACKENDS = ("fast", "fast-parallel")
+FAST_BACKENDS = ("fast",)
 SERVICE_SCENARIO = "tree-static"
 SERVICE_SERVERS = 8
 SERVICE_SHADOWS = "cap=80,cap=120"
@@ -110,14 +110,11 @@ def fleet_digest(scenario_name: str, backend: str) -> str:
     fleet = scenario.build_fleet(
         backend, n_servers=min(scenario.n_servers, FLEET_MAX_SERVERS)
     )
-    try:
-        fleet.run(2)
-        fleet.set_budget(fleet.budget_w * 0.97)
-        fleet.run(2)
-        traces = [fleet.trace]
-        traces += [fleet.backend.server_trace(i) for i in range(fleet.n_servers)]
-    finally:
-        fleet.backend.close()
+    fleet.run(2)
+    fleet.set_budget(fleet.budget_w * 0.97)
+    fleet.run(2)
+    traces = [fleet.trace]
+    traces += [fleet.backend.server_trace(i) for i in range(fleet.n_servers)]
     return sha256(canonical_json(traces))
 
 

@@ -1,14 +1,12 @@
-"""The fast-engine fleet backends keep their recorded digests.
+"""The fast-engine fleet backend keeps its recorded digests.
 
 The corpus pins every SoA-capable scenario on ``soa`` only. These cases run
-the same fleets on ``fast`` and ``fast-parallel`` (two workers) in the
-BLAS-pinned child of ``tests/golden``:
+the same fleets on ``fast`` in the BLAS-pinned child of ``tests/golden``:
 
-* a fixed-step fleet reproduces its corpus ``soa`` digest exactly, on both
-  backends;
+* a fixed-step fleet reproduces its corpus ``soa`` digest exactly;
 * the MPC fleet runs the fast engine's pre-solved-gain bank, whose per-row
-  results depend on how many rows it solves at once, so each backend has a
-  digest of its own.
+  results depend on how many rows it solves at once, so it has a digest of
+  its own.
 """
 
 import json
@@ -27,9 +25,6 @@ FAST_DIGESTS = {
 }
 FAST_DIGESTS["fleet/mpc-static/fast"] = (
     "9a2768fe9db9bb10ceb6c27ea333401d27ec4eeb4068b353b1f7447ca623a279"
-)
-FAST_DIGESTS["fleet/mpc-static/fast-parallel"] = (
-    "709f9076f5bc9fc1ee802630f2258f5fcae539c02564354c85f1a666c59ca69f"
 )
 
 PINNABLE, NOT_PINNABLE = digests.pinnable()

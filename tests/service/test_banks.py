@@ -59,7 +59,6 @@ def test_digests_equal_one_twin_at_a_time(shadows):
     for spec in service.config.shadows:
         offline = offline_whatif(SCENARIO, N, WINDOWS, shadows=(spec,))
         assert latest["shadows"][spec.name]["digest"] == offline["shadows"][spec.name]["digest"]
-    service.close()
 
 
 def test_bank_membership_follows_engine_and_scenario():
@@ -67,7 +66,6 @@ def test_bank_membership_follows_engine_and_scenario():
     members = [[twin.spec.engine for twin in bank.twins] for bank in service.banks]
     assert members == [["reference"] * 4, ["fast"]]
     assert service.banks[0].twins[0] is service.deployed
-    service.close()
 
 
 @pytest.fixture
@@ -90,7 +88,7 @@ def soa_builds(monkeypatch):
 def test_a_service_builds_one_soa(soa_builds, shadows, servers):
     """Every reference twin's servers are built once, into the bank's SoA;
     no twin builds a backend of its own that the bank then drops."""
-    service_with(SHADOW_SETS[shadows]).close()
+    service_with(SHADOW_SETS[shadows])
     assert soa_builds == [servers]
 
 
@@ -108,7 +106,7 @@ def test_a_bank_of_several_refuses_a_twin_it_cannot_step_exactly(shadow):
     other = deployed.shadow(parse_shadow_specs(shadow)[0])
     with pytest.raises(ConfigurationError, match="a bank of several twins"):
         TwinBank([deployed, other])
-    TwinBank([other]).close()
+    TwinBank([other])
 
 
 def test_rung_3_sheds_the_answers_and_keeps_stepping_the_shadows():
@@ -135,5 +133,3 @@ def test_rung_3_sheds_the_answers_and_keeps_stepping_the_shadows():
         assert shed.records[2]["shadows"][name]["digest"] == answer["digest"]
     assert shed.metrics_counters()["windows_deployed_only"] == 1
     assert "shadow_lag" not in shed.metrics_counters()
-    unshed.close()
-    shed.close()

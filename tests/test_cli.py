@@ -46,6 +46,30 @@ class TestParser:
         assert args.metric_threshold == pytest.approx(0.05)
         assert not args.fail_on_missing
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                [command, *operands, "--seed", "-1"]
+                for command, *operands in (
+                    ("run", "fig9"), ("sweep", "fig2"), ("profile", "fig2"),
+                    ("stability",), ("identify",), ("faults",), ("report",),
+                    ("serve", "--stdin", "--oneshot"), ("twin", "--windows", "1"),
+                )
+            ),
+            ["run", "fig9-scale", "--fleet-servers", "0"],
+            ["sweep", "fig9-scale", "--fleet-servers", "0"],
+            ["run", "fig9-scale", "--fleet-servers", "two"],
+            ["run", "fig9-scale", "--engine", "fast", "--fleet-backend", "fast-parallel"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_refuses_a_bad_value_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"error: argument {argv[-2]}: " in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -95,6 +119,13 @@ class TestCommands:
         assert main(["stability"]) == 0
         out = capsys.readouterr().out
         assert "stable for uniform gain variation" in out
+
+    def test_identify_command(self, capsys):
+        assert main(["identify", "--points", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "identified model" in out
+        assert "CV R^2" in out
+        assert "looks white" in out
 
 
 class TestSweepCommand:
@@ -403,8 +434,9 @@ class TestJournalledSweepCli:
             ("extra_params", {"engine": 5}, "field 'extra_params.engine' has the wrong type"),
             ("extra_params", {"engine": "turbo"}, "unknown engine 'turbo'"),
             ("experiments", ["no-such-experiment"], "unknown experiment ids"),
+            ("extra_params", {"backend": "fast-parallel"}, "unknown fleet backend 'fast-parallel'"),
         ],
-        ids=["engine-type", "unknown-engine", "unknown-experiment"],
+        ids=["engine-type", "unknown-engine", "unknown-experiment", "unknown-fleet-backend"],
     )
     def test_resume_refuses_what_this_build_does_not_know(
         self, tmp_path, capsys, monkeypatch, field, value, message
