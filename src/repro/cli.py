@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
              "every ingest source",
     )
     serve_p.add_argument(
-        "--fault-seed", type=int, default=None, metavar="SEED",
+        "--fault-seed", type=_seed, default=None, metavar="SEED",
         help="override the fault plan's own seed",
     )
     serve_p.add_argument(

@@ -46,17 +46,18 @@ class TestParser:
         assert args.metric_threshold == pytest.approx(0.05)
         assert not args.fail_on_missing
 
+    #: One invocation of each subcommand that takes ``--seed``.
+    SEEDED = (
+        ["run", "fig9"], ["sweep", "fig2"], ["profile", "fig2"], ["stability"],
+        ["identify"], ["faults"], ["report"], ["serve", "--stdin", "--oneshot"],
+        ["twin", "--windows", "1"],
+    )
+
     @pytest.mark.parametrize(
         "argv",
         [
-            *(
-                [command, *operands, "--seed", "-1"]
-                for command, *operands in (
-                    ("run", "fig9"), ("sweep", "fig2"), ("profile", "fig2"),
-                    ("stability",), ("identify",), ("faults",), ("report",),
-                    ("serve", "--stdin", "--oneshot"), ("twin", "--windows", "1"),
-                )
-            ),
+            *([*command, "--seed", "-1"] for command in SEEDED),
+            ["serve", "--stdin", "--oneshot", "--fault-plan", "plan.json", "--fault-seed", "-1"],
             ["run", "fig9-scale", "--fleet-servers", "0"],
             ["sweep", "fig9-scale", "--fleet-servers", "0"],
             ["run", "fig9-scale", "--fleet-servers", "two"],
