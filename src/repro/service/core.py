@@ -4,11 +4,15 @@
 window manager; every window the watermark closes advances the banks of
 the deployed twin and every configured shadow twin one step, computes the
 shadow-vs-deployed equivalence deltas, journals the result to the WAL
-(hash-chained), appends the twins' new history rows to ``history.bin``
-and refreshes the fixed-size checkpoint blob, and files the answers in
-the what-if cache. The service itself never reads the wall clock — all
-time is event time — so a killed service replayed from its journal
-reconstructs byte-identical state.
+(hash-chained) and files the answers in the what-if cache. The twins'
+checkpoint (their new history rows appended to ``history.bin``, then the
+fixed-size blob) is written every :data:`CHECKPOINT_EVERY` windows, by
+:meth:`DigitalTwinService.checkpoint` whenever the serve loop's ingest
+queue is idle, and on :meth:`DigitalTwinService.close`; the WAL alone is
+the authority, so a resume re-simulates the windows after the last
+checkpoint. The service itself never reads the wall clock — all time is
+event time — so a killed service replayed from its journal reconstructs
+byte-identical state.
 
 :func:`offline_whatif` is the same computation with no stream attached:
 build the twins, advance them ``n`` windows, return the answers. CI's
@@ -45,7 +49,12 @@ from .shadow import (
 )
 from .windows import ClosedWindow, WindowManager
 
-__all__ = ["ServiceConfig", "DigitalTwinService", "offline_whatif"]
+__all__ = ["CHECKPOINT_EVERY", "ServiceConfig", "DigitalTwinService", "offline_whatif"]
+
+#: A commit checkpoints the twins once this many windows have been committed
+#: since the last checkpoint, so a resume re-simulates at most
+#: ``CHECKPOINT_EVERY - 1`` windows.
+CHECKPOINT_EVERY = 16
 
 
 @dataclass(frozen=True)
@@ -245,10 +254,10 @@ class DigitalTwinService:
         self._check_twin_digests(entries[-1])
         for entry in entries:
             self._file_in_cache(entry)
-        if restored < n:
-            # Bring history.bin and the blob up to the head; after a
-            # fallback this rewrites history.bin from its first byte.
-            self._save_blob(journal)
+        # After re-simulating, bring history.bin and the blob up to the
+        # head; after a fallback this rewrites history.bin from its first
+        # byte.
+        self.checkpoint()
         return n
 
     def _restore_from_blob(self, journal: ServiceJournal, entries: list[dict]) -> int:
@@ -468,15 +477,64 @@ class DigitalTwinService:
             }
         entry = {**body, "chain": chain_digest(self.chain, body)}
         if self.journal is not None and window.index > self._last_journaled_index:
-            # WAL first (durable before served), then the best-effort blob.
+            # The WAL entry is durable before the record is served.
             self.journal.append_window(entry)
         self._last_journaled_index = max(self._last_journaled_index, window.index)
         self.chain = entry["chain"]
         self.records.append(entry)
         self._file_in_cache(entry)
-        if self.journal is not None:
-            self._save_blob(self.journal)
+        if len(self.records) - self._history.windows >= CHECKPOINT_EVERY:
+            self.checkpoint()
         return entry
+
+    def checkpoint(self) -> None:
+        """Bring ``history.bin`` and ``twin.ckpt`` to the committed head.
+
+        Does nothing without a journal or when both files are current. Nor
+        when a bank is not at the head: a commit that died between
+        advancing the twins and recording the window leaves them a window
+        ahead, and a blob of them would not resume bit-identically, so the
+        last good blob stays.
+        """
+        n = len(self.records)
+        journal = self.journal
+        end = self._history
+        if (
+            journal is None
+            or end.windows == n
+            or any(bank.windows_advanced != n for bank in self.banks)
+        ):
+            return
+        # The twins' new history rows go to history.bin first, window-major
+        # (every table's rows of one window, then the next window's); then
+        # the state blob that goes with them.
+        layout = self._history_layout()
+        data = np.concatenate(
+            [
+                storage[end.windows * (rows // n) : rows]
+                .reshape(n - end.windows, -1)
+                .view(np.uint8)
+                for _, _, storage, rows in layout
+            ],
+            axis=1,
+        ).tobytes()
+        journal.append_history(end.length, data)
+        end.sha256.update(data)
+        end.length += len(data)
+        end.windows = n
+        tables = {f"{owner}/{table}": storage for owner, table, storage, _ in layout}
+        state = {"twins": snapshot_twins(self.twins, tables)}
+        history = {
+            "length": end.length,
+            "sha256": end.sha256.hexdigest(),
+            "tables": [[owner, table, rows] for owner, table, _, rows in layout],
+        }
+        blob = build_blob(
+            state,
+            created={"windows_closed": n},
+            summary={"windows_closed": n, "chain": self.chain, "history": history},
+        )
+        save_blob(journal.blob_path, blob)
 
     def rebuild_twins(self) -> None:
         """Replace the twins with fresh runners advanced to the committed head.
@@ -504,42 +562,6 @@ class DigitalTwinService:
         self.cache.put(entry["deployed"]["topology_hash"], chain, entry["deployed"])
         for answer in entry["shadows"].values():
             self.cache.put(answer["topology_hash"], chain, answer)
-
-    def _save_blob(self, journal: ServiceJournal) -> None:
-        """Append the twins' new history rows to ``history.bin``, then
-        write the state blob that goes with it."""
-        n = len(self.records)
-        layout = self._history_layout()
-        end = self._history
-        if n > end.windows:
-            # Window-major records: every table's rows of one window, then
-            # the next window's.
-            data = np.concatenate(
-                [
-                    storage[end.windows * (rows // n) : rows]
-                    .reshape(n - end.windows, -1)
-                    .view(np.uint8)
-                    for _, _, storage, rows in layout
-                ],
-                axis=1,
-            ).tobytes()
-            journal.append_history(end.length, data)
-            end.sha256.update(data)
-            end.length += len(data)
-            end.windows = n
-        tables = {f"{owner}/{table}": storage for owner, table, storage, _ in layout}
-        state = {"twins": snapshot_twins(self.twins, tables)}
-        history = {
-            "length": end.length,
-            "sha256": end.sha256.hexdigest(),
-            "tables": [[owner, table, rows] for owner, table, _, rows in layout],
-        }
-        blob = build_blob(
-            state,
-            created={"windows_closed": n},
-            summary={"windows_closed": n, "chain": self.chain, "history": history},
-        )
-        save_blob(journal.blob_path, blob)
 
     # -- read surface (HTTP-thread safe) -----------------------------------
 
@@ -641,8 +663,12 @@ class DigitalTwinService:
         return counters
 
     def close(self) -> None:
+        """Checkpoint at the committed head, then close the journal."""
         if self.journal is not None:
-            self.journal.close()
+            try:
+                self.checkpoint()
+            finally:
+                self.journal.close()
 
 
 def offline_whatif(

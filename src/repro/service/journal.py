@@ -6,22 +6,23 @@ configuration from there) and whose ``windows.jsonl`` log holds one
 ``window_closed`` entry per closed window, appended *before* the window's
 results are served. The service core links each entry onto the chain
 itself; replay also requires window indices to count up from 0. Beside
-them the twins' state after a committed window is kept in two files:
+them the twins' state at a checkpoint (every 16 committed windows, when
+the serve loop idles, and on close) is kept in two files:
 
-* ``history.bin`` — the twins' history rows, append-only: each commit adds
-  the rows of its windows, one fixed-size record per window, with one
-  write and one fsync; an append first cuts anything past the length the
-  service last recorded, as the WAL cuts a torn tail;
+* ``history.bin`` — the twins' history rows, append-only: each checkpoint
+  adds the rows of the windows since the last one, one fixed-size record
+  per window, with one write and one fsync; an append first cuts anything
+  past the length the service last recorded, as the WAL cuts a torn tail;
 * ``twin.ckpt`` — a checkpoint blob of the twins' fixed-size state, which
   refers to their history tables by name and records the length and
   sha256 of ``history.bin`` it goes with, and each table's row count.
 
 Resume restores the blob when its chain is a WAL entry and the history
-prefix it records checks out, then re-simulates any windows the WAL holds
-beyond it. Otherwise (both files are best-effort-last, the WAL is
-authoritative) it rebuilds the twins by deterministic re-simulation and
-rewrites both files. Either way the twins are cross-checked digest for
-digest against the WAL.
+prefix it records checks out, then re-simulates the windows the WAL holds
+beyond it. Otherwise (both files only save re-simulation, the WAL is
+authoritative) it rebuilds the twins by deterministic re-simulation.
+Either way it rewrites both files at the head when it re-simulated, and
+the twins are cross-checked digest for digest against the WAL.
 """
 
 from __future__ import annotations

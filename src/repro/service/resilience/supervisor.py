@@ -21,6 +21,12 @@ applies to controllers:
   raises :class:`~repro.errors.ServiceFailedError`, which ``repro
   serve`` maps to exit 2.
 
+Whenever the ingest queue is empty, the consumer checkpoints the twins
+(:meth:`~repro.service.core.DigitalTwinService.checkpoint`) before it
+waits for the next event: a live service checkpoints after every window
+it serves, and only a backlog spreads checkpoints out to the core's
+cadence.
+
 Processing is exactly-once with respect to the simulation: an event the
 service already absorbed is never re-fed (its closed windows wait in the
 service's pending deque and are re-drained after the rebuild), while an
@@ -88,18 +94,20 @@ class TwinSupervisor:
 
     # -- consumer ----------------------------------------------------------
 
-    async def _feed(self, event: Event) -> None:
-        loop = asyncio.get_running_loop()
-        level = int(self.pipeline.level())
-        before = self.service.windows_closed
-        future = loop.run_in_executor(
-            None, self.service.feed_event_sheddable, event, level
-        )
+    async def _off_loop(self, fn: Callable[..., object], *args: object) -> None:
+        """Run ``fn(*args)`` in the executor, tracked so :meth:`_recover`
+        lets it settle before rebuilding under it."""
+        future = asyncio.get_running_loop().run_in_executor(None, fn, *args)
         self._inflight_future = future
         try:
             await future
         finally:
             self._inflight_future = None
+
+    async def _feed(self, event: Event) -> None:
+        level = int(self.pipeline.level())
+        before = self.service.windows_closed
+        await self._off_loop(self.service.feed_event_sheddable, event, level)
         if self.service.windows_closed > before:
             # Progress through a full window close: the plane recovered.
             self.consecutive_failures = 0
@@ -109,19 +117,17 @@ class TwinSupervisor:
             )
 
     async def _consume(self) -> None:
-        loop = asyncio.get_running_loop()
         if self.service.has_pending_windows:
             # Windows closed before a crash re-drain first (never re-fed).
-            future = loop.run_in_executor(None, self.service.drain_pending)
-            self._inflight_future = future
-            try:
-                await future
-            finally:
-                self._inflight_future = None
+            await self._off_loop(self.service.drain_pending)
         while True:
             if self._held_event is not None:
                 event: Event | None = self._held_event
             else:
+                if self.pipeline.qsize() == 0:
+                    # Idle: checkpoint the committed windows before waiting,
+                    # so a drained service holds a current blob.
+                    await self._off_loop(self.service.checkpoint)
                 event = await self.pipeline.get()
                 self._held_event = event
             if event is None:
@@ -205,9 +211,10 @@ class TwinSupervisor:
         loop = asyncio.get_running_loop()
         inflight = self._inflight_future
         if inflight is not None:
-            # Let an executor-side feed settle before rebuilding under it;
-            # a feed hung beyond the probe interval is abandoned (the
-            # rebuild replaces every object it could still mutate).
+            # Let an executor-side feed or checkpoint settle before
+            # rebuilding under it; one hung beyond the probe interval is
+            # abandoned (the rebuild replaces every twin it could still
+            # mutate).
             with contextlib.suppress(Exception):
                 await asyncio.wait_for(
                     asyncio.shield(inflight), timeout=self.config.probe_interval_s

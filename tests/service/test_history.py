@@ -17,12 +17,16 @@ from repro.service import (
     ServiceJournal,
     parse_shadow_specs,
 )
+from repro.service.core import CHECKPOINT_EVERY
 from repro.service.events import heartbeat, make_event
 
 SCENARIO = "tree-static"
 N = 4
 RESUMED_AT = 3
 LATER = 5
+#: Windows fed to the ``stream``-shaped service: two cadence checkpoints
+#: (windows 16 and 32), then 8 windows after the last one.
+STREAM_WINDOWS = 40
 
 
 @pytest.fixture(autouse=True)
@@ -38,6 +42,11 @@ def config(n_servers=N, shadows="cap=80"):
     return ServiceConfig(
         scenario=SCENARIO, n_servers=n_servers, shadows=parse_shadow_specs(shadows)
     )
+
+
+def stream_config():
+    """The documented deployment, as the ``stream`` benchmark runs it."""
+    return config(n_servers=8, shadows="cap=80,cap=120")
 
 
 def feed_windows(service, n, start=0):
@@ -60,11 +69,29 @@ def straight_chains():
     return chains
 
 
-def journalled(directory, n_windows):
-    cfg = config()
+@pytest.fixture(scope="module")
+def stream_chains():
+    """The chain after each window of an uninterrupted, unjournalled run of
+    :func:`stream_config`."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        service = DigitalTwinService(stream_config())
+        feed_windows(service, STREAM_WINDOWS + LATER)
+        chains = [r["chain"] for r in service.records]
+        service.close()
+    return chains
+
+
+def journalled(directory, n_windows, cfg=None):
+    cfg = cfg or config()
     service = DigitalTwinService(cfg, journal=ServiceJournal.create(directory, cfg.to_dict()))
     feed_windows(service, n_windows)
     return service
+
+
+def blob_windows(directory):
+    """The windows the checkpoint in ``directory`` covers."""
+    return load_blob(directory / "twin.ckpt")["summary"]["windows_closed"]
 
 
 def resume(directory):
@@ -93,19 +120,57 @@ def twins(service):
 class TestCommit:
     def test_blob_stays_fixed_size_and_history_grows_by_constant_bytes(self, tmp_path):
         """The timing-free form of "bytes written per window stay bounded":
-        the documented deployment (8 servers, two cap shadows), 40 windows."""
-        cfg = config(n_servers=8, shadows="cap=80,cap=120")
-        journal = ServiceJournal.create(tmp_path / "svc", cfg.to_dict())
-        service = DigitalTwinService(cfg, journal=journal)
-        blob_sizes, history_sizes = [], []
-        for k in range(40):
+        the documented deployment (8 servers, two cap shadows), 40 windows,
+        checkpointed by the cadence at windows 16 and 32 and by ``close()``
+        at 40. The blob stays within 1%; ``history.bin`` holds one
+        fixed-size record per window."""
+        directory = tmp_path / "svc"
+        service = journalled(directory, 0, stream_config())
+        sizes = {}
+        for k in range(STREAM_WINDOWS):
             feed_windows(service, 1, start=k)
-            blob_sizes.append(journal.blob_path.stat().st_size)
-            history_sizes.append(journal.history_path.stat().st_size)
+            if (directory / "twin.ckpt").exists():
+                sizes[blob_windows(directory)] = (
+                    (directory / "twin.ckpt").stat().st_size,
+                    (directory / "history.bin").stat().st_size,
+                )
         service.close()
-        assert abs(blob_sizes[39] - blob_sizes[9]) <= 0.01 * blob_sizes[9]
-        growth = {b - a for a, b in zip(history_sizes, history_sizes[1:])}
-        assert growth == {history_sizes[0]}
+        sizes[blob_windows(directory)] = (
+            (directory / "twin.ckpt").stat().st_size,
+            (directory / "history.bin").stat().st_size,
+        )
+        assert sorted(sizes) == [CHECKPOINT_EVERY, 2 * CHECKPOINT_EVERY, STREAM_WINDOWS]
+        first_blob, first_history = sizes[CHECKPOINT_EVERY]
+        record, rest = divmod(first_history, CHECKPOINT_EVERY)
+        assert rest == 0
+        for windows, (blob, history) in sizes.items():
+            assert abs(blob - first_blob) <= 0.01 * first_blob
+            assert history == windows * record
+
+    def test_a_dropped_service_resumes_from_the_last_cadence_blob(
+        self, tmp_path, stream_chains
+    ):
+        """Dropped without ``close()`` after 40 windows, the service left
+        the blob of window 32 and 32 ``history.bin`` records; resume
+        restores it and re-simulates the 8 windows the WAL holds beyond."""
+        directory = tmp_path / "svc"
+        history = directory / "history.bin"
+        service = journalled(directory, STREAM_WINDOWS, stream_config())
+        service.journal.close()  # the WAL handle only: close() never runs
+        assert blob_windows(directory) == 2 * CHECKPOINT_EVERY
+        dropped_size = history.stat().st_size
+
+        resumed = resume(directory)
+        assert (resumed.restored_from, resumed.resimulated_windows) == ("blob", 8)
+        assert resumed.chain == stream_chains[STREAM_WINDOWS - 1]
+        resumed.close()
+        # 32 of the 40 fixed-size records the head checkpoint holds.
+        head_size = history.stat().st_size
+        assert head_size % STREAM_WINDOWS == 0
+        assert dropped_size == head_size // STREAM_WINDOWS * 2 * CHECKPOINT_EVERY
+        again = resume(directory)
+        assert (again.restored_from, again.resimulated_windows) == ("blob", 0)
+        continue_to_straight_chain(again, stream_chains)
 
     def test_blob_records_the_history_it_goes_with(self, tmp_path):
         service = journalled(tmp_path / "svc", 2)
@@ -151,11 +216,12 @@ class TestResume:
         continue_to_straight_chain(service, straight_chains)
 
     def test_blob_behind_the_head(self, tmp_path, straight_chains):
-        """A blob from an earlier window (a kill between the WAL fsync and
-        the blob write, or a stretch of deployed-only shedding) is restored
-        and the windows after it are re-simulated."""
+        """A blob from an earlier window (a kill between checkpoints, or
+        between the WAL fsync and the blob write) is restored and the
+        windows after it are re-simulated."""
         directory = tmp_path / "svc"
         service = journalled(directory, 1)
+        service.checkpoint()
         for name in ("twin.ckpt", "history.bin"):
             shutil.copy(directory / name, tmp_path / name)
         feed_windows(service, RESUMED_AT - 1, start=1)
@@ -171,18 +237,51 @@ class TestResume:
         assert load_blob(directory / "twin.ckpt")["summary"]["windows_closed"] == RESUMED_AT
         continue_to_straight_chain(resumed, straight_chains)
 
+    def test_no_blob_of_twins_that_ran_ahead(self, tmp_path, straight_chains, monkeypatch):
+        """A commit that dies after the banks advanced but before the
+        window is recorded leaves the twins a window ahead of the records:
+        ``close()`` keeps the last good checkpoint rather than writing one
+        of them, and resume reproduces the chain."""
+        directory = tmp_path / "svc"
+        service = journalled(directory, 1)
+        service.checkpoint()
+        written = {
+            name: (directory / name).read_bytes() for name in ("twin.ckpt", "history.bin")
+        }
+        feed_windows(service, RESUMED_AT - 1, start=1)
+        journal = service.journal
+
+        def append_fails_once(entry):
+            monkeypatch.undo()
+            raise OSError("injected: no space left on device")
+
+        monkeypatch.setattr(journal, "append_window", append_fails_once)
+        with pytest.raises(OSError, match="injected"):
+            feed_windows(service, 1, start=RESUMED_AT)
+        assert service.windows_closed == RESUMED_AT
+        assert service.banks[0].windows_advanced == RESUMED_AT + 1
+        service.close()
+        for name, data in written.items():
+            assert (directory / name).read_bytes() == data
+
+        resumed = resume(directory)
+        assert (resumed.restored_from, resumed.resimulated_windows) == (
+            "blob", RESUMED_AT - 1
+        )
+        continue_to_straight_chain(resumed, straight_chains)
+
     def test_blob_without_a_history_record_resimulates(self, tmp_path, straight_chains):
         """A blob in the layout written before history.bin existed (the
         whole state in the blob, no history record) is never restored."""
         directory = tmp_path / "svc"
         service = journalled(directory, RESUMED_AT)
+        service.close()  # writes the head blob the hand-made one replaces
         state = {
             "deployed": service.deployed.fleet.snapshot(),
             "shadows": {n: s.fleet.snapshot() for n, s in service.shadows.items()},
         }
         summary = {"windows_closed": RESUMED_AT, "chain": service.chain}
         save_blob(directory / "twin.ckpt", build_blob(state, dict(summary), summary))
-        service.close()
 
         resumed = resume(directory)
         assert (resumed.restored_from, resumed.resimulated_windows) == ("wal", RESUMED_AT)
@@ -201,6 +300,7 @@ class TestResume:
         restored."""
         directory = tmp_path / "svc"
         service = journalled(directory, RESUMED_AT)
+        service.close()  # writes the head files the hand-made ones replace
         shared = service.banks[0].fleets.backend
         tables, columns = [], []
         for k, (name, twin) in enumerate([("deployed", service.deployed), *service.shadows.items()]):
@@ -222,7 +322,6 @@ class TestResume:
         }
         summary = {"windows_closed": RESUMED_AT, "chain": service.chain, "history": history}
         save_blob(directory / "twin.ckpt", build_blob(state, {"windows_closed": RESUMED_AT}, summary))
-        service.close()
 
         resumed = resume(directory)
         assert (resumed.restored_from, resumed.resimulated_windows) == ("wal", RESUMED_AT)

@@ -7,10 +7,15 @@ chain is bit-identical to a clean run over the same events.
 """
 
 import asyncio
+import os
+import signal
+import threading
+import time
 import warnings
 
 import pytest
 
+from repro.checkpoint.blob import load_blob
 from repro.errors import ServiceFailedError
 from repro.faults.models import FaultWindow
 from repro.faults.network import (
@@ -23,12 +28,16 @@ from repro.service import (
     DigitalTwinService,
     HealthState,
     ResilienceConfig,
+    ServeOptions,
     ServiceConfig,
     TwinSupervisor,
+    serve,
 )
 from repro.service.core import InjectedTwinCrash
 from repro.service.events import heartbeat, make_event
 from repro.service.resilience import HealthMonitor, IngestPipeline
+from repro.telemetry.serialize import save_trace_npz
+from repro.telemetry.trace import Trace
 
 SCENARIO = "tree-static"
 N = 4
@@ -329,5 +338,49 @@ class TestRebuild:
             assert service.has_pending_windows
             service.drain_pending()
             assert service.windows_closed == 1
+        finally:
+            service.close()
+
+
+class TestIdleCheckpoint:
+    def test_a_drained_replay_is_checkpointed_before_close(self, tmp_path):
+        """The consumer checkpoints whenever the ingest queue is idle. With
+        the replay drained and the HTTP listener keeping the service up,
+        it waits for more events, and twin.ckpt already records every
+        closed window, long before the cadence and before any close()."""
+        trace = Trace(["power_w"])
+        for k in range(3):
+            trace.append_row({"power_w": 100.0 + k})
+        replay = tmp_path / "trace.npz"
+        save_trace_npz(trace, replay)
+        blob_path = tmp_path / "svc" / "twin.ckpt"
+        served = threading.Event()
+        checkpointed = []
+
+        def stop_once_checkpointed():
+            deadline = time.monotonic() + 20.0
+            while not served.is_set() and time.monotonic() < deadline:
+                if blob_path.exists():
+                    checkpointed.append(load_blob(blob_path)["summary"]["windows_closed"])
+                    if checkpointed[-1] == 3:
+                        break
+                time.sleep(0.01)
+            if not served.is_set():
+                os.kill(os.getpid(), signal.SIGINT)  # a graceful drain
+
+        driver = threading.Thread(target=stop_once_checkpointed)
+        driver.start()
+        try:
+            service = serve(
+                config(),
+                ServeOptions(journal_dir=tmp_path / "svc", replay=replay, listen_port=0),
+                announce=lambda _: None,
+            )
+        finally:
+            served.set()
+            driver.join(timeout=30.0)
+        try:
+            assert service.windows_closed == 3
+            assert checkpointed and checkpointed[-1] == 3, checkpointed
         finally:
             service.close()
