@@ -45,9 +45,10 @@ def _int_at_least(minimum: int):
     return parse
 
 
-#: numpy's generators refuse a negative seed, and a fleet needs a server.
+#: numpy's generators refuse a negative seed; a fleet needs a server and a
+#: sweep a replicate.
 _seed = _int_at_least(0)
-_fleet_size = _int_at_least(1)
+_at_least_one = _int_at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
              "budget reallocation over many servers)",
     )
     run_p.add_argument(
-        "--fleet-servers", type=_fleet_size, default=None, metavar="N",
+        "--fleet-servers", type=_at_least_one, default=None, metavar="N",
         help="fleet size for fleet-capable experiments (e.g. fig9-scale; "
              "default 64)",
     )
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default 0 = one per CPU core; 1 = run inline)",
     )
     sweep_p.add_argument(
-        "--replicates", type=int, default=1, metavar="R",
+        "--replicates", type=_at_least_one, default=1, metavar="R",
         help="repetitions per experiment; replicate seeds derive from --seed "
              "via repro.rng.spawn (default 1)",
     )
@@ -143,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
              "set_point_w; others run once)",
     )
     sweep_p.add_argument(
-        "--fleet-servers", type=_fleet_size, default=None, metavar="N",
+        "--fleet-servers", type=_at_least_one, default=None, metavar="N",
         help="fleet size for fleet-capable experiments in the sweep "
              "(e.g. fig9-scale; others ignore it)",
     )

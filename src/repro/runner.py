@@ -144,6 +144,8 @@ def build_jobs(
         raise ExperimentError(
             f"unknown experiment ids {unknown!r}; available: {sorted(EXPERIMENTS)}"
         )
+    if replicates < 1:
+        raise ExperimentError(f"replicates must be >= 1, got {replicates}")
     jobs: list[SweepJob] = []
     for eid in experiment_ids:
         accepted = _accepted_kwargs(EXPERIMENTS[eid])

@@ -62,6 +62,8 @@ class TestParser:
             ["sweep", "fig9-scale", "--fleet-servers", "0"],
             ["run", "fig9-scale", "--fleet-servers", "two"],
             ["run", "fig9-scale", "--engine", "fast", "--fleet-backend", "fast-parallel"],
+            ["sweep", "fig2", "--replicates", "0"],
+            ["sweep", "fig2", "--replicates", "-2"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -436,8 +438,12 @@ class TestJournalledSweepCli:
             ("extra_params", {"engine": "turbo"}, "unknown engine 'turbo'"),
             ("experiments", ["no-such-experiment"], "unknown experiment ids"),
             ("extra_params", {"backend": "fast-parallel"}, "unknown fleet backend 'fast-parallel'"),
+            ("replicates", 0, "replicates must be >= 1, got 0"),
         ],
-        ids=["engine-type", "unknown-engine", "unknown-experiment", "unknown-fleet-backend"],
+        ids=[
+            "engine-type", "unknown-engine", "unknown-experiment", "unknown-fleet-backend",
+            "zero-replicates",
+        ],
     )
     def test_resume_refuses_what_this_build_does_not_know(
         self, tmp_path, capsys, monkeypatch, field, value, message
