@@ -261,6 +261,22 @@ _FAULT_KINDS: dict[str, type[FaultModel]] = {
 _BASE_FIELDS = frozenset({"window", "probability", "kind"})
 
 
+def _plan_number(
+    data: dict, name: str, kind: type[int] | type[float], where: str, nullable: bool = True
+) -> int | float | None:
+    """``data[name]`` as ``kind``, None when it is absent or, if
+    ``nullable``, null. An int field takes only an int and a float field an
+    int or a float, never a bool, so a wrong-typed value is a
+    :class:`ConfigurationError`, not a traceback or a silent truncation."""
+    value = data.get(name)
+    if value is None and nullable:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        wanted = "a number" if kind is float else "an integer"
+        raise ConfigurationError(f"{where}{name!r} must be {wanted}, got {value!r}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class NetworkFaultPlan:
     """Declarative, seeded set of service-plane faults.
@@ -337,29 +353,37 @@ class NetworkFaultPlan:
                     f"fault #{i}: unknown kind {kind!r} "
                     f"(have {', '.join(sorted(_FAULT_KINDS))})"
                 )
+            where = f"fault #{i} ({kind}): "
             kwargs: dict = {}
-            start = raw.get("start")
-            count = raw.get("count")
+            start = _plan_number(raw, "start", int, where)
+            count = _plan_number(raw, "count", int, where)
             if start is not None or count is not None:
                 kwargs["window"] = FaultWindow(
-                    start_period=int(start) if start is not None else 0,
-                    n_periods=int(count) if count is not None else None,
+                    start_period=start if start is not None else 0, n_periods=count
                 )
-            if raw.get("probability") is not None:
-                kwargs["probability"] = float(raw["probability"])
-            own_fields = {
-                fld.name for fld in fields(fault_cls)
-            } - _BASE_FIELDS
-            extra = set(raw) - own_fields - {"kind", "start", "count", "probability"}
+            probability = _plan_number(raw, "probability", float, where)
+            if probability is not None:
+                kwargs["probability"] = probability
+            own_fields = [fld for fld in fields(fault_cls) if fld.name not in _BASE_FIELDS]
+            extra = set(raw) - {fld.name for fld in own_fields} - {
+                "kind", "start", "count", "probability"
+            }
             if extra:
                 raise ConfigurationError(
                     f"fault #{i} ({kind}): unknown keys {sorted(extra)}"
                 )
-            for name in sorted(own_fields):
-                if name in raw:
-                    kwargs[name] = raw[name]
+            # A fault's own fields are ints; one annotated ``int | None``
+            # (``times``) takes null.
+            for fld in own_fields:
+                if fld.name in raw:
+                    kwargs[fld.name] = _plan_number(
+                        raw, fld.name, int, where, nullable="None" in str(fld.type)
+                    )
             built.append(fault_cls(**kwargs))
-        return cls(faults=tuple(built), seed=int(data.get("seed", 0)))
+        seed = _plan_number(data, "seed", int, "fault plan ") or 0
+        if seed < 0:
+            raise ConfigurationError(f"fault plan 'seed' must be >= 0, got {seed}")
+        return cls(faults=tuple(built), seed=seed)
 
 
 def load_network_fault_plan(path: str | Path) -> NetworkFaultPlan:

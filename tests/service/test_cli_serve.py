@@ -313,6 +313,41 @@ class TestServeCommand:
         ) == 2
         assert "plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("plan", "message"),
+        [
+            ({"seed": -1}, "'seed' must be >= 0, got -1"),
+            ({"seed": "x"}, "'seed' must be an integer, got 'x'"),
+            ({"seed": 1.5}, "'seed' must be an integer, got 1.5"),
+            ({"seed": True}, "'seed' must be an integer, got True"),
+            ({"faults": [{"kind": "net-disconnect", "start": "x"}]}, "'start' must be an integer"),
+            ({"faults": [{"kind": "net-disconnect", "count": 2.5}]}, "'count' must be an integer"),
+            (
+                {"faults": [{"kind": "net-disconnect", "probability": "x"}]},
+                "'probability' must be a number",
+            ),
+            (
+                {"faults": [{"kind": "net-duplicate-storm", "copies": "2"}]},
+                "'copies' must be an integer",
+            ),
+            ({"faults": [{"kind": "twin-crash", "times": "x"}]}, "'times' must be an integer"),
+        ],
+        ids=[
+            "negative-seed", "string-seed", "fractional-seed", "bool-seed", "string-start",
+            "fractional-count", "string-probability", "string-copies", "string-times",
+        ],
+    )
+    def test_wrong_typed_fault_plan_field_is_exit_2(
+        self, tmp_path, trace_path, capsys, plan, message
+    ):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert main(self.serve_args(trace_path, "--fault-plan", str(path))) == 2
+        [line] = [
+            line for line in capsys.readouterr().err.splitlines() if line.startswith("serve: ")
+        ]
+        assert line.startswith(f"serve: {path}: ") and message in line, line
+
 
 #: A wrong-typed value for each field of a service manifest's config;
 #: list fields also get a list holding a wrong-typed item.
