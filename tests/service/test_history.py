@@ -127,18 +127,18 @@ class TestCommit:
         directory = tmp_path / "svc"
         service = journalled(directory, 0, stream_config())
         sizes = {}
+
+        def note_sizes():
+            sizes[blob_windows(directory)] = tuple(
+                (directory / name).stat().st_size for name in ("twin.ckpt", "history.bin")
+            )
+
         for k in range(STREAM_WINDOWS):
             feed_windows(service, 1, start=k)
             if (directory / "twin.ckpt").exists():
-                sizes[blob_windows(directory)] = (
-                    (directory / "twin.ckpt").stat().st_size,
-                    (directory / "history.bin").stat().st_size,
-                )
+                note_sizes()
         service.close()
-        sizes[blob_windows(directory)] = (
-            (directory / "twin.ckpt").stat().st_size,
-            (directory / "history.bin").stat().st_size,
-        )
+        note_sizes()
         assert sorted(sizes) == [CHECKPOINT_EVERY, 2 * CHECKPOINT_EVERY, STREAM_WINDOWS]
         first_blob, first_history = sizes[CHECKPOINT_EVERY]
         record, rest = divmod(first_history, CHECKPOINT_EVERY)
