@@ -358,9 +358,7 @@ class NetworkFaultPlan:
             start = _plan_number(raw, "start", int, where)
             count = _plan_number(raw, "count", int, where)
             if start is not None or count is not None:
-                kwargs["window"] = FaultWindow(
-                    start_period=start if start is not None else 0, n_periods=count
-                )
+                kwargs["window"] = FaultWindow(start_period=start or 0, n_periods=count)
             probability = _plan_number(raw, "probability", float, where)
             if probability is not None:
                 kwargs["probability"] = probability
@@ -369,9 +367,7 @@ class NetworkFaultPlan:
                 "kind", "start", "count", "probability"
             }
             if extra:
-                raise ConfigurationError(
-                    f"fault #{i} ({kind}): unknown keys {sorted(extra)}"
-                )
+                raise ConfigurationError(f"{where}unknown keys {sorted(extra)}")
             # A fault's own fields are ints; one annotated ``int | None``
             # (``times``) takes null.
             for fld in own_fields:
