@@ -262,19 +262,19 @@ _BASE_FIELDS = frozenset({"window", "probability", "kind"})
 
 
 def _plan_number(
-    data: dict, name: str, kind: type[int] | type[float], where: str, nullable: bool = True
+    data: dict, name: str, number: type[int] | type[float], where: str, nullable: bool = True
 ) -> int | float | None:
-    """``data[name]`` as ``kind``, None when it is absent or, if
+    """``data[name]`` as ``number``, None when it is absent or, if
     ``nullable``, null. An int field takes only an int and a float field an
     int or a float, never a bool, so a wrong-typed value is a
     :class:`ConfigurationError`, not a traceback or a silent truncation."""
     value = data.get(name)
     if value is None and nullable:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
-        wanted = "a number" if kind is float else "an integer"
+    if isinstance(value, bool) or not isinstance(value, (int, float) if number is float else int):
+        wanted = "a number" if number is float else "an integer"
         raise ConfigurationError(f"{where}{name!r} must be {wanted}, got {value!r}")
-    return kind(value)
+    return number(value)
 
 
 @dataclass(frozen=True)
