@@ -29,9 +29,10 @@ from ._version import __version__
 __all__ = ["main", "build_parser"]
 
 
-def _int_at_least(minimum: int):
-    """An argparse ``type`` for an int no smaller than ``minimum``, so a bad
-    value exits 2 at parse time instead of failing a run."""
+def _int_in_range(minimum: int, maximum: int | None = None):
+    """An argparse ``type`` for an int no smaller than ``minimum`` (and no
+    larger than ``maximum``), so a bad value exits 2 at parse time instead
+    of failing a run."""
 
     def parse(text: str) -> int:
         try:
@@ -40,15 +41,18 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return parse
 
 
-#: numpy's generators refuse a negative seed; a fleet needs a server and a
-#: sweep a replicate.
-_seed = _int_at_least(0)
-_at_least_one = _int_at_least(1)
+#: numpy's generators refuse a negative seed; a fleet needs a server, a
+#: sweep a replicate; a TCP port is 16 bits.
+_seed = _int_in_range(0)
+_at_least_one = _int_in_range(1)
+_port = _int_in_range(0, 65535)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory to write every result trace as <experiment>_<name>.npz",
     )
     run_p.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
+        "--checkpoint-every", type=_at_least_one, default=None, metavar="N",
         help="checkpoint the run every N engine periods (crash-safe, "
              "bit-identical; supported by checkpointable experiments "
              "such as fig9)",
@@ -323,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="read line-delimited JSON events from stdin until EOF",
     )
     serve_p.add_argument(
-        "--ingest-port", type=int, default=None, metavar="PORT",
+        "--ingest-port", type=_port, default=None, metavar="PORT",
         help="also listen for line-delimited JSON producers on TCP PORT "
              "(0 = ephemeral)",
     )
@@ -378,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
              "up for live ingestion",
     )
     serve_p.add_argument(
-        "--max-windows", type=int, default=None, metavar="N",
+        "--max-windows", type=_at_least_one, default=None, metavar="N",
         help="stop after closing N windows (counts resumed windows)",
     )
     serve_p.add_argument(
@@ -856,11 +860,14 @@ def _parse_host_port(text: str, flag: str) -> tuple[str, int]:
     if not sep or not host:
         raise ConfigurationError(f"{flag} takes HOST:PORT, got {text!r}")
     try:
-        return host, int(port)
+        number = int(port)
     except ValueError:
         raise ConfigurationError(
             f"{flag} port must be an integer, got {port!r}"
         ) from None
+    if not 0 <= number <= 65535:
+        raise ConfigurationError(f"{flag} port must be 0-65535, got {number}")
+    return host, number
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

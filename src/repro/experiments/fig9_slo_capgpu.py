@@ -40,7 +40,7 @@ def run_fig9(
             raise ValueError("checkpointing requires checkpoint_path")
         checkpoint = CheckpointPolicy(
             path=checkpoint_path,
-            every_n_periods=checkpoint_every or 10,
+            every_n_periods=10 if checkpoint_every is None else checkpoint_every,
             resume=resume,
             stop_flag=stop_flag,
         )

@@ -1,18 +1,20 @@
 """The digital-twin service core, plus its offline one-shot counterpart.
 
 :class:`DigitalTwinService` ties the layers together: events feed the
-window manager; every window the watermark closes advances the banks of
-the deployed twin and every configured shadow twin one step, computes the
-shadow-vs-deployed equivalence deltas, journals the result to the WAL
-(hash-chained) and files the answers in the what-if cache. The twins'
-checkpoint (their new history rows appended to ``history.bin``, then the
-fixed-size blob) is written every :data:`CHECKPOINT_EVERY` windows, by
-:meth:`DigitalTwinService.checkpoint` whenever the serve loop's ingest
-queue is idle, and on :meth:`DigitalTwinService.close`; the WAL alone is
-the authority, so a resume re-simulates the windows after the last
-checkpoint. The service itself never reads the wall clock — all time is
-event time — so a killed service replayed from its journal reconstructs
-byte-identical state.
+window manager; every window the watermark closes steps the
+:class:`~repro.service.shadow.TwinSet` of the deployed twin and every
+configured shadow twin one window, takes its answers (with the
+shadow-vs-deployed equivalence deltas), journals them to the WAL
+(hash-chained) and files the shadows' answers in the what-if cache. The
+twins' checkpoint (their new history rows appended to ``history.bin``,
+then the fixed-size blob) is written every :data:`CHECKPOINT_EVERY`
+windows, by :meth:`DigitalTwinService.checkpoint` whenever the serve
+loop's ingest queue is idle, and on :meth:`DigitalTwinService.close`; the
+WAL alone is the authority. A resume and the supervisor's
+:meth:`DigitalTwinService.rebuild_twins` restore the twins one way: the
+last checkpoint, then re-simulating the windows after it. The service
+itself never reads the wall clock — all time is event time — so a killed
+service replayed from its journal reconstructs byte-identical state.
 
 :func:`offline_whatif` is the same computation with no stream attached:
 build the twins, advance them ``n`` windows, return the answers. CI's
@@ -40,12 +42,10 @@ from .resilience.health import HealthMonitor
 from .shadow import (
     ShadowSpec,
     TwinRunner,
+    TwinSet,
     TwinSpec,
-    bank_twins,
     check_shadow_names,
     parse_shadow_spec,
-    restore_twins,
-    snapshot_twins,
 )
 from .windows import ClosedWindow, WindowManager
 
@@ -127,32 +127,6 @@ class ServiceConfig:
         return config
 
 
-def _equiv_dict(report) -> dict:
-    """JSON-able form of an :class:`repro.equiv.EquivReport`."""
-    return {
-        "ok": report.ok,
-        "rows": [
-            {
-                "metric": row.metric,
-                "unit": row.unit,
-                "mean_abs_diff": row.mean_abs_diff,
-                "max_abs_diff": row.max_abs_diff,
-                "mean_tol": row.mean_tol,
-                "max_tol": row.max_tol,
-                "ok": row.ok,
-            }
-            for row in report.rows
-        ],
-    }
-
-
-def _shadow_answer(shadow: TwinRunner, deployed: TwinRunner) -> dict:
-    """One shadow's cumulative answer: summary + deltas vs deployed."""
-    answer = shadow.summary()
-    answer["equiv_vs_deployed"] = _equiv_dict(shadow.equiv_vs(deployed))
-    return answer
-
-
 @dataclass
 class _PendingWindow:
     """A closed window awaiting commit, with its sticky shed level.
@@ -196,9 +170,8 @@ class DigitalTwinService:
         self.config = config
         self.journal = journal
         #: Every twin by name, in :meth:`ServiceConfig.twin_specs` order (the
-        #: order of the blob's state and of ``history.bin`` records), and
-        #: the banks that built them.
-        self.twins, self.banks = bank_twins(config.twin_specs())
+        #: order of the blob's state and of ``history.bin`` records).
+        self.twins = TwinSet(config.twin_specs())
         self.cache = ResultCache()
         self.records: list[dict] = []
         self.chain = GENESIS_CHAIN
@@ -220,9 +193,9 @@ class DigitalTwinService:
         self.windows_deployed_only = 0
         self.rebuilds_total = 0
         self._history = _HistoryEnd()
-        #: How a resume rebuilt the twins: ``"blob"`` (the checkpoint, then
-        #: ``resimulated_windows`` more) or ``"wal"`` (re-simulating every
-        #: journaled window); None when nothing was resumed.
+        #: How the last resume or rebuild restored the twins: ``"blob"`` (the
+        #: checkpoint, then ``resimulated_windows`` more) or ``"wal"``
+        #: (re-simulating every committed window); None when neither ran.
         self.restored_from: str | None = None
         self.resimulated_windows = 0
         restored = 0
@@ -235,38 +208,50 @@ class DigitalTwinService:
     # -- resume ------------------------------------------------------------
 
     def _resume(self, journal: ServiceJournal) -> int:
-        """Rebuild state from the WAL, starting from the blob when it holds
+        """Rebuild state from the WAL, the twins from the blob when it holds
         one of the WAL's windows."""
         entries = journal.replay()
         if not entries:
             return 0
-        n = len(entries)
         self.records = list(entries)
         self.chain = journal.head_chain(entries)
-        self._last_journaled_index = n - 1
-        restored = self._restore_from_blob(journal, entries)
-        self.restored_from = "blob" if restored else "wal"
-        self.resimulated_windows = n - restored
-        for bank in self.banks:
-            bank.advance(n - restored)
-        # Whichever path restored the twins, they must reproduce the
-        # journaled digests exactly.
-        self._check_twin_digests(entries[-1])
+        self._last_journaled_index = len(entries) - 1
+        self._restore_twins()
         for entry in entries:
             self._file_in_cache(entry)
         # After re-simulating, bring history.bin and the blob up to the
         # head; after a fallback this rewrites history.bin from its first
         # byte.
         self.checkpoint()
-        return n
+        return len(entries)
 
-    def _restore_from_blob(self, journal: ServiceJournal, entries: list[dict]) -> int:
+    def _restore_twins(self) -> None:
+        """Bring the freshly built twins to the committed head: restore the
+        journal's blob when it holds one of the committed windows and
+        re-simulate the windows after it, else re-simulate every window.
+        Either way the twins must reproduce the digests of the newest
+        record exactly."""
+        n = len(self.records)
+        restored = 0
+        if self.journal is not None and n:
+            restored = self._restore_from_blob(self.journal)
+        if not restored:
+            # The next checkpoint rewrites history.bin from its first byte.
+            self._history = _HistoryEnd()
+        self.twins.advance_to(n)
+        if n:
+            self.twins.check_digests(self.records[-1])
+        self.restored_from = "blob" if restored else "wal"
+        self.resimulated_windows = n - restored
+
+    def _restore_from_blob(self, journal: ServiceJournal) -> int:
         """Restore twin state from the checkpoint blob when its chain is one
-        of the verified WAL entries and the history it records checks out;
-        returns the windows it covers, 0 when it cannot be used (missing,
-        corrupt, foreign, written before ``history.bin`` existed, or holding
-        a state layout the twins no longer have): the caller then
-        re-simulates, the WAL is authoritative."""
+        of the committed records and the history it records checks out
+        (cutting ``history.bin`` back to it); returns the windows it
+        covers, 0 when it cannot be used (missing, corrupt, foreign,
+        written before ``history.bin`` existed, or holding a state layout
+        the twins no longer have): the caller then re-simulates, the WAL is
+        authoritative."""
         if not journal.blob_path.exists():
             return 0
         try:
@@ -279,8 +264,8 @@ class DigitalTwinService:
         if (
             history is None
             or not isinstance(m, int)
-            or not 0 < m <= len(entries)
-            or summary.get("chain") != entries[m - 1]["chain"]
+            or not 0 < m <= len(self.records)
+            or summary.get("chain") != self.records[m - 1]["chain"]
             or list(state.get("twins", {})) != list(self.twins)
         ):
             return 0
@@ -289,38 +274,23 @@ class DigitalTwinService:
             return 0
         tables, self._history = read
         try:
-            restore_twins(state["twins"], self.twins, tables)
+            self.twins.restore(state["twins"], tables)
         except CheckpointError:
             # A stale layout can be refused after some nodes were restored:
-            # start over from fresh twins and an empty history.bin.
-            self._replace_twins()
-            self._history = _HistoryEnd()
+            # start over from fresh twins.
+            self.twins = TwinSet(self.config.twin_specs())
             return 0
         journal.truncate_history(self._history.length)
         return m
 
     @property
     def deployed(self) -> TwinRunner:
-        return self.twins["deployed"]
+        return self.twins.deployed
 
     @property
     def shadows(self) -> dict[str, TwinRunner]:
         """The shadow twins by name."""
-        return {name: twin for name, twin in self.twins.items() if name != "deployed"}
-
-    def _history_layout(self) -> list[tuple[str, str, np.ndarray, int]]:
-        """``(owner, table, storage, rows)`` for every history table, in the
-        order of a ``history.bin`` record: each twin's fleet ``trace``, then
-        each bank's backend tables by name (``soa`` on an SoA bank), the
-        banks named ``bank0``, ``bank1``, ... in :attr:`banks` order."""
-        layout = [
-            (name, "trace", *twin.fleet.history_tables()["trace"])
-            for name, twin in self.twins.items()
-        ]
-        for k, bank in enumerate(self.banks):
-            for table, (storage, rows) in sorted(bank.fleets.backend.history_tables().items()):
-                layout.append((f"bank{k}", table, storage, rows))
-        return layout
+        return self.twins.shadows
 
     def _read_history(
         self, journal: ServiceJournal, history: dict, windows: int
@@ -331,9 +301,9 @@ class DigitalTwinService:
         (length, sha256, owners, table names and row counts); else None.
 
         The file is one record per window; a record holds every table's
-        rows of that window in :meth:`_history_layout` order.
+        rows of that window in :meth:`TwinSet.history_layout` order.
         """
-        layout = self._history_layout()
+        layout = self.twins.history_layout()
         recorded = history.get("tables")
         if not isinstance(recorded, list) or [r[:2] for r in recorded] != [
             [owner, table] for owner, table, _, _ in layout
@@ -362,26 +332,6 @@ class DigitalTwinService:
             for (owner, table, storage, _), (_, _, rows), block in zip(layout, recorded, blocks)
         }
         return tables, _HistoryEnd(windows, length, sha256)
-
-    def _check_twin_digests(self, last: dict) -> None:
-        """The bit-identity cross-check: every rebuilt twin must reproduce
-        the digest ``last`` (the newest committed record) holds for it."""
-        twins = [("deployed", self.deployed, last["deployed"])]
-        twins += [
-            (f"shadow {name!r}", shadow, last["shadows"].get(name))
-            for name, shadow in self.shadows.items()
-        ]
-        for label, twin, recorded in twins:
-            if recorded is None:
-                continue
-            rebuilt, journaled = twin.digest(), recorded["digest"]
-            if rebuilt != journaled:
-                raise CheckpointError(
-                    f"resume is not bit-identical: rebuilt {label} digest "
-                    f"{rebuilt[:12]}… does not match the journaled "
-                    f"{journaled[:12]}… (code or scenario changed since the "
-                    "service started)"
-                )
 
     # -- feeding -----------------------------------------------------------
 
@@ -448,33 +398,19 @@ class DigitalTwinService:
         """
         if window.index < len(self.records):
             return self.records[window.index]
-        target = len(self.records) + 1
-        # Every bank advances at every level: a bank steps its members in
+        # Every twin advances at every level: a bank steps its members in
         # lockstep, so shedding saves only the shadows' answers.
-        for bank in self.banks:
-            bank.advance(target - bank.windows_advanced)
-        body = {
-            "kind": "window_closed",
-            "window": window.to_dict(),
-            "deployed": self.deployed.summary(),
-        }
+        self.twins.advance_to(len(self.records) + 1)
+        answers = self.twins.answers(shed_level)
+        body = {"kind": "window_closed", "window": window.to_dict(), **answers}
         if shed_level >= 3:
             # Deployed-only: the shadows' summaries are shed too.
             self.windows_deployed_only += 1
             body["shed_level"] = 3
-            body["shadows"] = {}
         elif shed_level >= 2 and self.shadows:
             # The equivalence deltas are shed.
             self.windows_shed_shadows += 1
             body["shed_level"] = 2
-            body["shadows"] = {
-                name: shadow.summary() for name, shadow in sorted(self.shadows.items())
-            }
-        else:
-            body["shadows"] = {
-                name: _shadow_answer(shadow, self.deployed)
-                for name, shadow in sorted(self.shadows.items())
-            }
         entry = {**body, "chain": chain_digest(self.chain, body)}
         if self.journal is not None and window.index > self._last_journaled_index:
             # The WAL entry is durable before the record is served.
@@ -499,16 +435,12 @@ class DigitalTwinService:
         n = len(self.records)
         journal = self.journal
         end = self._history
-        if (
-            journal is None
-            or end.windows == n
-            or any(bank.windows_advanced != n for bank in self.banks)
-        ):
+        if journal is None or end.windows == n or not self.twins.at(n):
             return
         # The twins' new history rows go to history.bin first, window-major
         # (every table's rows of one window, then the next window's); then
         # the state blob that goes with them.
-        layout = self._history_layout()
+        layout = self.twins.history_layout()
         data = np.concatenate(
             [
                 storage[end.windows * (rows // n) : rows]
@@ -523,7 +455,7 @@ class DigitalTwinService:
         end.length += len(data)
         end.windows = n
         tables = {f"{owner}/{table}": storage for owner, table, storage, _ in layout}
-        state = {"twins": snapshot_twins(self.twins, tables)}
+        state = {"twins": self.twins.capture(tables)}
         history = {
             "length": end.length,
             "sha256": end.sha256.hexdigest(),
@@ -537,29 +469,24 @@ class DigitalTwinService:
         save_blob(journal.blob_path, blob)
 
     def rebuild_twins(self) -> None:
-        """Replace the twins with fresh runners advanced to the committed head.
+        """Replace the twins with fresh ones brought to the committed head.
 
         The supervisor's crash-recovery step: whatever state the crashed
-        twins were in, a rebuild replays the authoritative ledger —
-        ``advance(len(records))`` on brand-new runners — and cross-checks
-        the rebuilt digests against the last committed record, the same
-        bit-identity gate a journal resume applies.
+        twins were in, a rebuild restores them the way a journal resume
+        does — from the newest checkpoint, then re-simulating the windows
+        after it (every committed window without a journal or a usable
+        blob) — and cross-checks their digests against the last committed
+        record.
         """
-        self._replace_twins()
-        n_windows = len(self.records)
-        if n_windows:
-            for bank in self.banks:
-                bank.advance(n_windows)
-            self._check_twin_digests(self.records[-1])
+        self.twins = TwinSet(self.config.twin_specs())
+        self._restore_twins()
         self.rebuilds_total += 1
 
-    def _replace_twins(self) -> None:
-        """Build fresh twins, at window 0."""
-        self.twins, self.banks = bank_twins(self.config.twin_specs())
-
     def _file_in_cache(self, entry: dict) -> None:
+        """File the shadows' answers of a committed record under their
+        topology hashes (a what-if of the deployed configuration is
+        answered like any other shadow, with its equivalence deltas)."""
         chain = entry["chain"]
-        self.cache.put(entry["deployed"]["topology_hash"], chain, entry["deployed"])
         for answer in entry["shadows"].values():
             self.cache.put(answer["topology_hash"], chain, answer)
 
@@ -691,15 +618,6 @@ def offline_whatif(
     config = ServiceConfig(
         scenario, n_servers, periods_per_window=periods_per_window, seed=seed, shadows=shadows
     )
-    twins, banks = bank_twins(config.twin_specs())
-    deployed = twins.pop("deployed")
-    for bank in banks:
-        bank.advance(n_windows)
-    return {
-        "windows": n_windows,
-        "deployed": deployed.summary(),
-        "shadows": {
-            name: _shadow_answer(twin, deployed)
-            for name, twin in twins.items()
-        },
-    }
+    twins = TwinSet(config.twin_specs())
+    twins.advance_to(n_windows)
+    return {"windows": n_windows, **twins.answers()}

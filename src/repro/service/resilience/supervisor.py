@@ -7,10 +7,11 @@ steps never block the event loop). Around it, it runs the same
 trip-shaped discipline :class:`~repro.control.watchdog.SafeModeWatchdog`
 applies to controllers:
 
-* a consumer that **raises** is a crash: the twins are rebuilt from the
-  authoritative ledger (the hash-chained WAL when journalled, the
-  in-memory records otherwise — both replay to bit-identical state) and
-  the consumer is restarted after a seeded, capped exponential backoff;
+* a consumer that **raises** is a crash: the twins are rebuilt as a
+  resume rebuilds them (from the newest checkpoint and the windows after
+  it when journalled, by re-simulating every committed window otherwise),
+  the rebuild is announced, and the consumer is restarted after a seeded,
+  capped exponential backoff;
 * a consumer that stops making progress while work is pending — the
   watermark/window position frozen across ``stall_checks`` consecutive
   probes — is **stalled**: it is cancelled and restarted the same way;
@@ -213,8 +214,11 @@ class TwinSupervisor:
         if inflight is not None:
             # Let an executor-side feed or checkpoint settle before
             # rebuilding under it; one hung beyond the probe interval is
-            # abandoned (the rebuild replaces every twin it could still
-            # mutate).
+            # abandoned. The rebuild replaces every twin it could still
+            # mutate and restores only what a whole checkpoint wrote: the
+            # atomically replaced blob and the history.bin prefix it records
+            # (length and sha256); an append first cuts history.bin back to
+            # the length the service recorded.
             with contextlib.suppress(Exception):
                 await asyncio.wait_for(
                     asyncio.shield(inflight), timeout=self.config.probe_interval_s
@@ -242,6 +246,10 @@ class TwinSupervisor:
         )
         await asyncio.sleep(delay)
         await loop.run_in_executor(None, self.service.rebuild_twins)
+        self.announce(
+            f"supervisor: twins rebuilt restored_from={self.service.restored_from} "
+            f"resimulated_windows={self.service.resimulated_windows}"
+        )
 
     def metrics(self) -> dict[str, object]:
         return {

@@ -19,11 +19,9 @@ the trust envelope of ``docs/simulator.md``.
 A :class:`TwinSpec` holds the six fields that fix a twin's trajectory,
 validated once; its :attr:`~TwinSpec.topology_hash` names the twin in the
 what-if cache and the WAL, and :meth:`TwinSpec.shadow` derives a shadow's
-spec from the deployed one. Twins advance in **banks** (:class:`TwinBank`),
-and a bank builds its twins' fleets from their specs: every reference-engine
-twin of an SoA-capable scenario steps through one shared SoA, built once,
-one ``run_periods`` call per budget round for all of them, and each keeps
-the digest it has on its own. A twin is constructed only by its bank.
+spec from the deployed one. A :class:`TwinSet` builds a configuration's
+twins from their specs, steps them in banks, answers for them, and
+captures and restores them; a twin is constructed only by its set.
 """
 
 from __future__ import annotations
@@ -32,14 +30,14 @@ import dataclasses
 import hashlib
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..checkpoint.state import capture, restore
 from ..equiv import EquivReport, compare_metrics, fleet_server_metrics
-from ..errors import ConfigurationError
+from ..errors import CheckpointError, ConfigurationError
 from ..fleet.engine import FleetBank, FleetSimulation
 from ..fleet.scenarios import fleet_scenario, soa_bank
 from ..runner import TIMING_KEYS
@@ -52,10 +50,7 @@ __all__ = [
     "check_shadow_names",
     "TwinSpec",
     "TwinRunner",
-    "TwinBank",
-    "bank_twins",
-    "snapshot_twins",
-    "restore_twins",
+    "TwinSet",
 ]
 
 
@@ -188,8 +183,8 @@ class TwinSpec:
 
     @property
     def bankable(self) -> bool:
-        """True when the twin steps on the exact SoA backend, so it may
-        share a :class:`TwinBank` with other such twins."""
+        """True when the twin steps on the exact SoA backend, so a
+        :class:`TwinSet` may step it in one SoA with other such twins."""
         return self.backend == "soa"
 
     def shadow(self, spec: ShadowSpec) -> "TwinSpec":
@@ -237,7 +232,7 @@ class _TraceDigest:
 
 
 class TwinRunner:
-    """One cumulative twin: the fleet its :class:`TwinBank` built from
+    """One cumulative twin: the fleet its :class:`TwinSet` built from
     ``spec``, advanced window by window."""
 
     def __init__(self, spec: TwinSpec, fleet: FleetSimulation):
@@ -253,8 +248,8 @@ class TwinRunner:
         return len(self.fleet.trace) // self.spec.periods_per_window
 
     def advance(self, n_windows: int = 1) -> None:
-        """Advance a twin that is a bank of one by ``n_windows`` windows
-        (a member of a larger bank steps only through its bank)."""
+        """Advance a twin that steps alone by ``n_windows`` windows (a twin
+        that shares an SoA steps only through :meth:`TwinSet.advance_to`)."""
         if n_windows:
             self.fleet.run(n_windows * self.spec.periods_per_window)
 
@@ -315,89 +310,160 @@ class TwinRunner:
         return self._metrics[1]
 
 
-class TwinBank:
-    """Twins built from their specs and advanced in lockstep, their fleets
-    stepped as one :class:`~repro.fleet.engine.FleetBank`.
+def _equiv_dict(report: EquivReport) -> dict:
+    """JSON-able form of an :class:`repro.equiv.EquivReport`."""
+    return {
+        "ok": report.ok,
+        "rows": [
+            {
+                "metric": row.metric,
+                "unit": row.unit,
+                "mean_abs_diff": row.mean_abs_diff,
+                "max_abs_diff": row.max_abs_diff,
+                "mean_tol": row.mean_tol,
+                "max_tol": row.max_tol,
+                "ok": row.ok,
+            }
+            for row in report.rows
+        ],
+    }
 
-    A bank of several twins builds all their servers into one SoA
-    (:func:`repro.fleet.scenarios.soa_bank`), so each budget round is one
-    ``run_periods`` call for every member; each twin keeps its own budget
-    tree, trace, summary, digest and equivalence. A bank of several refuses
-    a spec that is not :attr:`~TwinSpec.bankable`. A bank of one builds its
-    twin's fleet on the twin's own backend. :func:`bank_twins` decides the
-    membership.
+
+def _build_bank(specs: list[TwinSpec]) -> FleetBank:
+    """One bank's fleets: several twins on one SoA, or one twin on its own
+    backend."""
+    if len(specs) > 1:
+        return soa_bank([(spec.scenario, spec.n_servers, spec.seed) for spec in specs])
+    [spec] = specs
+    scenario = fleet_scenario(spec.scenario)
+    return FleetBank([scenario.build_fleet(spec.backend, spec.n_servers, spec.seed)])
+
+
+class TwinSet(Mapping[str, TwinRunner]):
+    """Every twin of one configuration, by name in the order of its specs:
+    built, stepped, answered for, captured and restored together.
+
+    The twins step in banks (:class:`~repro.fleet.engine.FleetBank`). Every
+    :attr:`~TwinSpec.bankable` twin goes into one bank, built on one SoA
+    (:func:`repro.fleet.scenarios.soa_bank`, or ``build_fleet`` for a
+    bankable twin alone), so each budget round is one ``run_periods`` call
+    for all of them. Every other twin steps alone: a fast MPC batch moves
+    bits with its shape (:mod:`repro.fleet.soa`), and a reference-only
+    scenario has no SoA to share. Banks are numbered ``bank0``, ``bank1``,
+    ... in the order of their first members. Each twin keeps its own
+    budget tree, trace, summary, digest and equivalence, so what it answers
+    does not depend on the twins banked with it.
     """
 
-    def __init__(self, specs: list[TwinSpec]):
-        if len({spec.periods_per_window for spec in specs}) != 1:
-            raise ConfigurationError("bank members must share periods_per_window")
-        if len(specs) == 1:
-            [spec] = specs
-            scenario = fleet_scenario(spec.scenario)
-            self.fleets = FleetBank([scenario.build_fleet(spec.backend, spec.n_servers, spec.seed)])
-        else:
-            for spec in specs:
-                if not spec.bankable:
-                    raise ConfigurationError(
-                        "a bank of several twins holds reference-engine twins of "
-                        f"SoA-capable scenarios only, got {spec}"
-                    )
-            self.fleets = soa_bank([(spec.scenario, spec.n_servers, spec.seed) for spec in specs])
-        for spec, fleet in zip(specs, self.fleets.fleets):
-            fleet.set_budget(fleet.budget_w * spec.budget_frac)
-        self.twins = [TwinRunner(spec, fleet) for spec, fleet in zip(specs, self.fleets.fleets)]
-        self.periods_per_window = specs[0].periods_per_window
+    def __init__(self, specs: Mapping[str, TwinSpec]):
+        if len({spec.periods_per_window for spec in specs.values()}) != 1:
+            raise ConfigurationError("twins must share periods_per_window")
+        shared = [name for name, spec in specs.items() if spec.bankable]
+        groups = []
+        for name, spec in specs.items():
+            if not spec.bankable:
+                groups.append([name])
+            elif name == shared[0]:
+                groups.append(shared)
+        self._banks = [_build_bank([specs[name] for name in group]) for group in groups]
+        built = {
+            name: TwinRunner(specs[name], fleet)
+            for group, bank in zip(groups, self._banks)
+            for name, fleet in zip(group, bank.fleets)
+        }
+        self._twins = {name: built[name] for name in specs}
+        for twin in self._twins.values():
+            twin.fleet.set_budget(twin.fleet.budget_w * twin.spec.budget_frac)
+        self.periods_per_window = next(iter(specs.values())).periods_per_window
+
+    def __getitem__(self, name: str) -> TwinRunner:
+        return self._twins[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._twins)
+
+    def __len__(self) -> int:
+        return len(self._twins)
 
     @property
-    def windows_advanced(self) -> int:
-        return self.twins[0].windows_advanced
+    def deployed(self) -> TwinRunner:
+        return self._twins["deployed"]
 
-    def advance(self, n_windows: int = 1) -> None:
-        """Advance every member by ``n_windows`` windows."""
-        if n_windows < 0:
-            raise ConfigurationError("n_windows must be >= 0")
-        if n_windows:
-            self.fleets.run(n_windows * self.periods_per_window)
+    @property
+    def shadows(self) -> dict[str, TwinRunner]:
+        """Every twin but the deployed one, by name."""
+        return {name: twin for name, twin in self._twins.items() if name != "deployed"}
 
+    def at(self, windows: int) -> bool:
+        """True when every twin has stepped exactly ``windows`` windows."""
+        return all(twin.windows_advanced == windows for twin in self._twins.values())
 
-def bank_twins(specs: Mapping[str, TwinSpec]) -> tuple[dict[str, TwinRunner], list[TwinBank]]:
-    """The twins of ``specs``, by name, and the banks that built them: every
-    :attr:`~TwinSpec.bankable` spec in one bank, each other spec in a bank
-    of its own, in the order of their first members. ``engine=fast`` twins
-    stay alone, because a fast MPC batch moves bits with its shape
-    (:mod:`repro.fleet.soa`), and reference-only scenarios have no SoA to
-    share."""
-    shared = [name for name, spec in specs.items() if spec.bankable]
-    groups = []
-    for name, spec in specs.items():
-        if not spec.bankable:
-            groups.append([name])
-        elif name == shared[0]:
-            groups.append(shared)
-    banks = [TwinBank([specs[name] for name in group]) for group in groups]
-    twins = {
-        name: twin for group, bank in zip(groups, banks) for name, twin in zip(group, bank.twins)
-    }
-    return {name: twins[name] for name in specs}, banks
+    def advance_to(self, windows: int) -> None:
+        """Step every bank to ``windows`` windows (``FleetBank.run`` refuses
+        to step one back)."""
+        for bank in self._banks:
+            behind = windows - len(bank.fleets[0].trace) // self.periods_per_window
+            if behind:
+                bank.run(behind * self.periods_per_window)
 
+    def answers(self, shed_level: int = 0) -> dict:
+        """The ``deployed`` summary and every shadow's answer by name: its
+        summary with its ``equiv_vs_deployed`` deltas, without them from
+        shed level 2 on; from level 3 no shadow answers."""
+        deployed = self.deployed
+        shadows = {}
+        if shed_level < 3:
+            for name, twin in self.shadows.items():
+                answer = twin.summary()
+                if shed_level < 2:
+                    answer["equiv_vs_deployed"] = _equiv_dict(twin.equiv_vs(deployed))
+                shadows[name] = answer
+        return {"deployed": deployed.summary(), "shadows": shadows}
 
-def snapshot_twins(
-    twins: Mapping[str, TwinRunner], tables: Mapping[str, np.ndarray]
-) -> dict[str, object]:
-    """Every twin's fleet, by name, captured in one pass: a bank's shared
-    backend is one subtree (under its first member), which the other
-    members reference. ``tables`` maps names to history arrays kept
-    elsewhere (each captured as a reference by name, see
-    :func:`repro.checkpoint.state.capture`)."""
-    return dict(zip(twins, capture(*(twin.fleet for twin in twins.values()), tables=tables)))
+    def check_digests(self, record: dict) -> None:
+        """The bit-identity cross-check: every twin must reproduce the
+        digest ``record`` (a committed window record) holds for it; a
+        shadow the record shed is not checked."""
+        for name, twin in self._twins.items():
+            deployed = name == "deployed"
+            recorded = record[name] if deployed else record["shadows"].get(name)
+            if recorded is None:
+                continue
+            rebuilt, journaled = twin.digest(), recorded["digest"]
+            if rebuilt != journaled:
+                label = name if deployed else f"shadow {name!r}"
+                raise CheckpointError(
+                    f"resume is not bit-identical: rebuilt {label} digest "
+                    f"{rebuilt[:12]}… does not match the journaled "
+                    f"{journaled[:12]}… (code or scenario changed since the "
+                    "service started)"
+                )
 
+    def history_layout(self) -> list[tuple[str, str, np.ndarray, int]]:
+        """``(owner, table, storage, rows)`` for every history table, in the
+        order of a ``history.bin`` record: each twin's fleet ``trace``, then
+        each bank's backend tables by name (``soa`` on an SoA bank)."""
+        layout = [
+            (name, "trace", *twin.fleet.history_tables()["trace"])
+            for name, twin in self._twins.items()
+        ]
+        for k, bank in enumerate(self._banks):
+            for table, (storage, rows) in sorted(bank.backend.history_tables().items()):
+                layout.append((f"bank{k}", table, storage, rows))
+        return layout
 
-def restore_twins(
-    nodes: Mapping[str, object],
-    twins: Mapping[str, TwinRunner],
-    tables: Mapping[str, np.ndarray],
-) -> None:
-    """Load :func:`snapshot_twins` nodes in one pass into the same twins
-    (same names, same order) freshly built by their banks; each twin's
-    window count follows from its restored trace."""
-    restore(list(nodes.values()), [twin.fleet for twin in twins.values()], tables=tables)
+    def capture(self, tables: Mapping[str, np.ndarray]) -> dict[str, object]:
+        """Every twin's fleet, by name, captured in one pass: a bank's shared
+        backend is one subtree (under its first member), which the other
+        members reference. ``tables`` maps names to history arrays kept
+        elsewhere (each captured as a reference by name, see
+        :func:`repro.checkpoint.state.capture`)."""
+        fleets = [twin.fleet for twin in self._twins.values()]
+        return dict(zip(self._twins, capture(*fleets, tables=tables)))
+
+    def restore(self, nodes: Mapping[str, object], tables: Mapping[str, np.ndarray]) -> None:
+        """Load :meth:`capture` nodes (same names, same order) in one pass
+        into these twins, freshly built; each twin's window count follows
+        from its restored trace."""
+        fleets = [twin.fleet for twin in self._twins.values()]
+        restore(list(nodes.values()), fleets, tables=tables)

@@ -1,16 +1,14 @@
-"""Twins that step as banks: what a twin answers does not depend on the
-twins banked with it, a bank builds one SoA for all its members, and
-shedding never leaves a bank member behind."""
+"""Twins that step as banks of a :class:`TwinSet`: what a twin answers
+does not depend on the twins banked with it, a bank builds one SoA for all
+its members, and shedding never leaves a bank member behind."""
 
 import warnings
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.fleet.soa import SoaFleetBackend
 from repro.service import DigitalTwinService, ServiceConfig, offline_whatif, parse_shadow_specs
 from repro.service.events import heartbeat, make_event
-from repro.service.shadow import TwinBank, TwinSpec
 
 SCENARIO = "tree-static"
 N = 4
@@ -61,11 +59,25 @@ def test_digests_equal_one_twin_at_a_time(shadows):
         assert latest["shadows"][spec.name]["digest"] == offline["shadows"][spec.name]["digest"]
 
 
+def bank_members(twins):
+    """The names of each bank's twins, in bank order."""
+    return [
+        [name for name, twin in twins.items() if any(twin.fleet is f for f in bank.fleets)]
+        for bank in twins._banks
+    ]
+
+
 def test_bank_membership_follows_engine_and_scenario():
-    service = service_with(SHADOW_SETS["mixed"])
-    members = [[twin.spec.engine for twin in bank.twins] for bank in service.banks]
-    assert members == [["reference"] * 4, ["fast"]]
-    assert service.banks[0].twins[0] is service.deployed
+    """The reference twins of SoA-capable scenarios share one bank, the
+    deployed twin first. A fast twin's MPC batch moves bits with its shape
+    and a reference-only scenario has no SoA rows, so each of those steps
+    alone, on a backend of its own."""
+    service = service_with(SHADOW_SETS["mixed"] + ",scenario=paper-rack")
+    assert bank_members(service.twins) == [
+        ["deployed", "cap=80", "scenario=demand-static", "scenario=mpc-static"],
+        ["cap=60+engine=fast"],
+        ["scenario=paper-rack"],
+    ]
 
 
 @pytest.fixture
@@ -97,18 +109,6 @@ def test_a_cold_whatif_builds_one_soa(soa_builds):
     assert soa_builds == [2 * N]
 
 
-@pytest.mark.parametrize("shadow", ["cap=60+engine=fast", "scenario=paper-rack"])
-def test_a_bank_of_several_refuses_a_twin_it_cannot_step_exactly(shadow):
-    """A fast twin's MPC batch moves bits with its shape and a
-    reference-only scenario has no SoA rows, so neither joins a bank of
-    several; alone, each builds its own backend."""
-    deployed = TwinSpec(SCENARIO, N)
-    other = deployed.shadow(parse_shadow_specs(shadow)[0])
-    with pytest.raises(ConfigurationError, match="a bank of several twins"):
-        TwinBank([deployed, other])
-    TwinBank([other])
-
-
 def test_rung_3_sheds_the_answers_and_keeps_stepping_the_shadows():
     shadows = "cap=80,cap=60+engine=fast"
     unshed = service_with(shadows)
@@ -128,7 +128,7 @@ def test_rung_3_sheds_the_answers_and_keeps_stepping_the_shadows():
     }
     # No member lagged, so the next unshed window answers as if nothing
     # had been shed.
-    assert [bank.windows_advanced for bank in shed.banks] == [3, 3]
+    assert [twin.windows_advanced for twin in shed.twins.values()] == [3, 3, 3]
     for name, answer in unshed.records[2]["shadows"].items():
         assert shed.records[2]["shadows"][name]["digest"] == answer["digest"]
     assert shed.metrics_counters()["windows_deployed_only"] == 1

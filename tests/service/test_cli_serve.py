@@ -234,6 +234,21 @@ class TestServeCommand:
         assert main(self.serve_args(trace_path, "--listen", "8080")) == 2
         assert "HOST:PORT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+    def test_out_of_range_listen_port_is_exit_2_before_the_journal(
+        self, tmp_path, trace_path, capsys, port
+    ):
+        journal_dir = tmp_path / "svc"
+        assert main(
+            self.serve_args(
+                trace_path, "--journal", str(journal_dir), "--listen", f"127.0.0.1:{port}"
+            )
+        ) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"serve: --listen port must be 0-65535, got {port}"
+        ]
+        assert not journal_dir.exists()
+
     def test_bad_shadow_spec_is_exit_2(self, trace_path):
         assert main(self.serve_args(trace_path, "--shadows", "cap=nope")) == 2
 
@@ -397,7 +412,7 @@ class TestMalformedManifest:
         self, tmp_path, trace_path, capsys, monkeypatch
     ):
         from repro.service import ServiceConfig, ServiceJournal
-        from repro.service.shadow import TwinBank, parse_shadow_specs
+        from repro.service.shadow import TwinSet, parse_shadow_specs
 
         journal_dir = tmp_path / "svc"
         config = ServiceConfig(n_servers=2, shadows=parse_shadow_specs("cap=80"))
@@ -406,13 +421,13 @@ class TestMalformedManifest:
         data = json.loads(manifest.read_text())
         data["config"]["shadows"] = ["cap=80", "cap=80"]
         manifest.write_text(json.dumps(data))
-        banks = []
-        monkeypatch.setattr(TwinBank, "__init__", lambda self, specs: banks.append(specs))
+        built = []
+        monkeypatch.setattr(TwinSet, "__init__", lambda self, specs: built.append(specs))
         code = main(
             ["serve", "--resume", str(journal_dir), "--replay", str(trace_path), "--oneshot"]
         )
         out, err = capsys.readouterr()
-        assert (code, out, banks) == (2, "", [])
+        assert (code, out, built) == (2, "", [])
         assert err.splitlines() == ["serve: duplicate shadow specs: ['cap=80', 'cap=80']"]
 
 

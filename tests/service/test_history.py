@@ -1,5 +1,5 @@
 """``history.bin`` beside the state blob: what a commit writes, and how
-each resume path rebuilds the twins from it."""
+each resume path and a supervised rebuild restore the twins from it."""
 
 import hashlib
 import pickle
@@ -238,7 +238,7 @@ class TestResume:
         continue_to_straight_chain(resumed, straight_chains)
 
     def test_no_blob_of_twins_that_ran_ahead(self, tmp_path, straight_chains, monkeypatch):
-        """A commit that dies after the banks advanced but before the
+        """A commit that dies after the twins advanced but before the
         window is recorded leaves the twins a window ahead of the records:
         ``close()`` keeps the last good checkpoint rather than writing one
         of them, and resume reproduces the chain."""
@@ -259,7 +259,7 @@ class TestResume:
         with pytest.raises(OSError, match="injected"):
             feed_windows(service, 1, start=RESUMED_AT)
         assert service.windows_closed == RESUMED_AT
-        assert service.banks[0].windows_advanced == RESUMED_AT + 1
+        assert service.twins.at(RESUMED_AT + 1)
         service.close()
         for name, data in written.items():
             assert (directory / name).read_bytes() == data
@@ -301,10 +301,14 @@ class TestResume:
         directory = tmp_path / "svc"
         service = journalled(directory, RESUMED_AT)
         service.close()  # writes the head files the hand-made ones replace
-        shared = service.banks[0].fleets.backend
+        [(hist, n_rows)] = [
+            (storage, rows)
+            for owner, _, storage, rows in service.twins.history_layout()
+            if owner == "bank0"
+        ]
         tables, columns = [], []
-        for k, (name, twin) in enumerate([("deployed", service.deployed), *service.shadows.items()]):
-            soa = np.ascontiguousarray(shared._hist[: shared._n_rows, k * N : (k + 1) * N])
+        for k, (name, twin) in enumerate(service.twins.items()):
+            soa = np.ascontiguousarray(hist[:n_rows, k * N : (k + 1) * N])
             trace = twin.fleet.trace._data[: len(twin.fleet.trace)]
             for table, rows in (("soa", soa), ("trace", trace)):
                 tables.append([name, table, len(rows)])
@@ -363,6 +367,71 @@ class TestResume:
         assert (service.restored_from, service.resimulated_windows) == ("blob", 0)
         assert path.stat().st_size == recorded
         continue_to_straight_chain(service, straight_chains)
+
+
+class TestRebuild:
+    """The supervisor's :meth:`DigitalTwinService.rebuild_twins` restores the
+    twins the way a resume does."""
+
+    def test_a_rebuild_restores_the_last_checkpoint(self, tmp_path, stream_chains):
+        """After 40 windows in lockstep the blob holds window 32: a rebuild
+        restores it and re-simulates the 8 windows after it."""
+        directory = tmp_path / "svc"
+        service = journalled(directory, STREAM_WINDOWS, stream_config())
+        service.rebuild_twins()
+        assert (service.restored_from, service.resimulated_windows) == ("blob", 8)
+        feed_windows(service, 1, start=STREAM_WINDOWS)
+        assert service.chain == stream_chains[STREAM_WINDOWS]
+        service.close()
+
+        resumed = resume(directory)
+        assert (resumed.restored_from, resumed.resimulated_windows) == ("blob", 0)
+        assert resumed.chain == stream_chains[STREAM_WINDOWS]
+        resumed.close()
+
+    def test_a_rebuild_after_a_failed_blob_write_cuts_history_back(
+        self, tmp_path, stream_chains, monkeypatch
+    ):
+        """``save_blob`` fails at the checkpoint of the 32nd commit, after
+        the checkpoint appended its 16 records to ``history.bin``; the blob
+        on disk still holds window 16. A rebuild restores that blob, cuts
+        ``history.bin`` back to its 16 records and re-simulates the 16
+        windows after it."""
+        directory = tmp_path / "svc"
+        history = directory / "history.bin"
+        service = journalled(directory, 2 * CHECKPOINT_EVERY - 1, stream_config())
+        record = history.stat().st_size // CHECKPOINT_EVERY
+
+        def save_fails_once(*args):
+            monkeypatch.undo()
+            raise OSError("injected: no space left on device")
+
+        monkeypatch.setattr("repro.service.core.save_blob", save_fails_once)
+        with pytest.raises(OSError, match="injected"):
+            feed_windows(service, 1, start=2 * CHECKPOINT_EVERY - 1)
+        assert service.windows_closed == 2 * CHECKPOINT_EVERY
+        assert history.stat().st_size == 2 * CHECKPOINT_EVERY * record
+        assert blob_windows(directory) == CHECKPOINT_EVERY
+
+        service.rebuild_twins()
+        assert (service.restored_from, service.resimulated_windows) == ("blob", 16)
+        assert history.stat().st_size == CHECKPOINT_EVERY * record
+        feed_windows(service, STREAM_WINDOWS + 1 - 2 * CHECKPOINT_EVERY, start=2 * CHECKPOINT_EVERY)
+        assert service.chain == stream_chains[STREAM_WINDOWS]
+        service.close()
+
+        resumed = resume(directory)
+        assert (resumed.restored_from, resumed.resimulated_windows) == ("blob", 0)
+        assert resumed.chain == stream_chains[STREAM_WINDOWS]
+        resumed.close()
+
+    def test_a_service_with_no_journal_rebuilds_by_resimulating(self, stream_chains):
+        service = DigitalTwinService(stream_config())
+        feed_windows(service, STREAM_WINDOWS)
+        service.rebuild_twins()
+        assert (service.restored_from, service.resimulated_windows) == ("wal", STREAM_WINDOWS)
+        feed_windows(service, 1, start=STREAM_WINDOWS)
+        assert service.chain == stream_chains[STREAM_WINDOWS]
 
 
 def backend_node(state, twin):

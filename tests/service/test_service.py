@@ -124,6 +124,21 @@ class TestStreaming:
         assert service.cache.hits >= 1
         service.close()
 
+    @pytest.mark.parametrize(
+        "spec", ["cap=100", f"scenario={SCENARIO}", "cap=100+engine=reference"]
+    )
+    def test_a_whatif_of_the_deployed_configuration_is_a_shadow_answer(self, spec):
+        """A spec equal to the deployed configuration (its topology hash is
+        the deployed one) is answered like any other shadow, with its
+        equivalence deltas, as ``repro twin --shadow`` answers it."""
+        service = DigitalTwinService(config())
+        feed_windows(service, 2)
+        answer = service.whatif_payload(spec)["shadows"][spec]
+        offline = offline_whatif(SCENARIO, N, 2, shadows=parse_shadow_specs(spec))
+        assert answer == offline["shadows"][spec]
+        assert "equiv_vs_deployed" in answer
+        service.close()
+
     def test_whatif_payload_refuses_an_infinite_cap_before_any_twin(self):
         service = DigitalTwinService(config(shadows=None))
         feed_windows(service, 2)

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.service.shadow import (
     ShadowSpec,
-    TwinBank,
+    TwinSet,
     TwinSpec,
     parse_shadow_spec,
     parse_shadow_specs,
@@ -19,8 +19,8 @@ N = 4
 
 
 def twin(**fields):
-    """A twin of ``SCENARIO`` built, as every twin is, by its bank (of one)."""
-    return TwinBank([TwinSpec(SCENARIO, N, **fields)]).twins[0]
+    """A twin of ``SCENARIO`` built, as every twin is, by a set (of one)."""
+    return TwinSet({"deployed": TwinSpec(SCENARIO, N, **fields)}).deployed
 
 
 class TestParseShadowSpec:

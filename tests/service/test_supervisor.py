@@ -30,6 +30,7 @@ from repro.service import (
     ResilienceConfig,
     ServeOptions,
     ServiceConfig,
+    ServiceJournal,
     TwinSupervisor,
     serve,
 )
@@ -128,6 +129,36 @@ class TestCrashRecovery:
             # A window close after recovery resets the failure budget.
             assert supervisor.consecutive_failures == 0
             assert any("restart #1" in m for m in messages)
+        finally:
+            service.close()
+
+    def test_a_journalled_rebuild_restores_the_checkpoint_and_says_so(self, tmp_path):
+        """A crash at window 18 of a journalled service: the rebuild
+        restores the window-16 blob, re-simulates the 2 windows after it and
+        announces so, and the run ends on the clean chain."""
+        plan = NetworkFaultPlan(
+            faults=(TwinCrash(window=FaultWindow(18, 1), probability=1.0, times=1),)
+        )
+        cfg = config()
+        journal = ServiceJournal.create(tmp_path / "svc", cfg.to_dict())
+        service = DigitalTwinService(cfg, journal=journal)
+        service.fault_bank = bank = ServiceFaultBank(plan)
+        messages = []
+        try:
+            # A queue this long never reaches a shed rung with 40 events.
+            run_supervised(
+                service, bank, rconfig(queue_size=256), 20, announce=messages.append
+            )
+            assert service.rebuilds_total == 1
+            assert (
+                "supervisor: twins rebuilt restored_from=blob resimulated_windows=2"
+                in messages
+            )
+            chain = [
+                (r["window"]["digest"], r["chain"], r["deployed"]["digest"])
+                for r in service.records
+            ]
+            assert chain == clean_chain(20)
         finally:
             service.close()
 

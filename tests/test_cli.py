@@ -64,6 +64,12 @@ class TestParser:
             ["run", "fig9-scale", "--engine", "fast", "--fleet-backend", "fast-parallel"],
             ["sweep", "fig2", "--replicates", "0"],
             ["sweep", "fig2", "--replicates", "-2"],
+            *(["serve", "--stdin", "--oneshot", "--ingest-port", port]
+              for port in ("70000", "65536", "-1")),
+            ["serve", "--stdin", "--oneshot", "--max-windows", "0"],
+            ["serve", "--stdin", "--oneshot", "--max-windows", "-1"],
+            ["run", "fig9", "--checkpoint-file", "F", "--checkpoint-every", "0"],
+            ["run", "fig9", "--checkpoint-file", "F", "--checkpoint-every", "-5"],
         ],
         ids=lambda argv: " ".join(argv),
     )
