@@ -216,7 +216,7 @@ class DigitalTwinService:
         self.records = list(entries)
         self.chain = journal.head_chain(entries)
         self._last_journaled_index = len(entries) - 1
-        self._restore_twins()
+        self._restore_to_head()
         for entry in entries:
             self._file_in_cache(entry)
         # After re-simulating, bring history.bin and the blob up to the
@@ -225,7 +225,7 @@ class DigitalTwinService:
         self.checkpoint()
         return len(entries)
 
-    def _restore_twins(self) -> None:
+    def _restore_to_head(self) -> None:
         """Bring the freshly built twins to the committed head: restore the
         journal's blob when it holds one of the committed windows and
         re-simulate the windows after it, else re-simulate every window.
@@ -479,7 +479,7 @@ class DigitalTwinService:
         record.
         """
         self.twins = TwinSet(self.config.twin_specs())
-        self._restore_twins()
+        self._restore_to_head()
         self.rebuilds_total += 1
 
     def _file_in_cache(self, entry: dict) -> None:
