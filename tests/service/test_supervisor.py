@@ -145,10 +145,10 @@ class TestCrashRecovery:
         service.fault_bank = bank = ServiceFaultBank(plan)
         messages = []
         try:
-            # A queue this long never reaches a shed rung with 40 events.
-            run_supervised(
-                service, bank, rconfig(queue_size=256), 20, announce=messages.append
-            )
+            # A queue this long never reaches a shed rung with 40 events,
+            # and probes this far apart never take a slow commit for a stall.
+            rc = rconfig(queue_size=256, probe_interval_s=1.0)
+            run_supervised(service, bank, rc, 20, announce=messages.append)
             assert service.rebuilds_total == 1
             assert (
                 "supervisor: twins rebuilt restored_from=blob resimulated_windows=2"
