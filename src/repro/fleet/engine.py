@@ -8,8 +8,9 @@ two axes:
   :class:`~repro.sim.engine.ServerSimulation` per server (the original rack
   loop, unchanged float for float); the structure-of-arrays backend in
   :mod:`repro.fleet.soa` steps thousands of homogeneous servers as one
-  numpy program per meter window (10 ticks by default) and reproduces the
-  reference bit for bit (``tests/fleet/test_differential.py``).
+  numpy program per block of ticks (the whole control period up to 256
+  servers, one 10-tick meter window at 1024) and reproduces the reference
+  bit for bit (``tests/fleet/test_differential.py``).
 * **hierarchy** — budgets descend a :class:`~repro.fleet.tree.BudgetTree`
   (datacenter → row → rack → server) instead of one flat allocator call;
   a flat tree reproduces the original rack loop exactly;

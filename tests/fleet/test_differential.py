@@ -13,9 +13,14 @@ Four layers of bit-for-bit equivalence, each pinned by canonical digests
 4. fleets stepped as one bank (one SoA holding every member's rows) vs
    the same fleets run alone, also across a mid-run snapshot.
 
-Fault-injection scenarios run under the ``chaos`` marker; the 256-server
-smoke runs under ``fleet_smoke`` (both off by default, on in CI's
-fleet-equivalence job).
+The SoA steps a period in blocks of ticks whose length follows from the
+row count (``repro.fleet.soa.CELLS``); the long-window and RAPL-wrap
+differentials also run with 1-tick and 3-tick blocks, whose boundaries
+split meter windows.
+
+Fault-injection scenarios run under the ``chaos`` marker; the 256- and
+1024-server smokes run under ``fleet_smoke`` (both off by default, on in
+CI's fleet-equivalence job).
 """
 
 import dataclasses
@@ -27,6 +32,7 @@ import pytest
 from repro.checkpoint.state import capture, restore
 from repro.errors import ConfigurationError
 from repro.fleet import FleetBank, FleetSimulation, ReferenceBackend, SoaFleetBackend
+from repro.fleet import soa as soa_module
 from repro.fleet.scenarios import FLEET_SCENARIOS, fleet_scenario, soa_bank
 from repro.fleet.soa import build_scalar_twin
 from repro.runner import _canonicalize, canonical_json
@@ -197,18 +203,43 @@ def test_seeded_soa_matches_reference(name):
     assert digest(ref.trace) != digest(unseeded.trace)
 
 
+#: Block lengths in ticks, None for the default ``CELLS``.
+BLOCKS = pytest.mark.parametrize(
+    "block_ticks", [None, 1, 3], ids=lambda t: "default-blocks" if t is None else f"{t}-tick-blocks"
+)
+
+
+def record_blocks(monkeypatch, block_ticks, n_servers):
+    """Patch ``CELLS`` so that ``n_servers`` rows step in ``block_ticks``-tick
+    blocks (None keeps the default); returns the list every stepped block's
+    length is appended to."""
+    if block_ticks is not None:
+        monkeypatch.setattr(soa_module, "CELLS", block_ticks * n_servers)
+    lengths = []
+    step = SoaFleetBackend._step_block
+
+    def spy(self, wall, *args):
+        lengths.append(len(wall))
+        return step(self, wall, *args)
+
+    monkeypatch.setattr(SoaFleetBackend, "_step_block", spy)
+    return lengths
+
+
+@BLOCKS
 @pytest.mark.parametrize(
     "config",
     [SimConfig(meter_interval_s=0.5), SimConfig(control_period_s=10.0)],
     ids=lambda config: f"{config.samples_per_period}-samples",
 )
 @pytest.mark.parametrize("name", ["fair-static", "demand-static"])
-def test_soa_matches_reference_with_long_meter_windows(name, config):
+def test_soa_matches_reference_with_long_meter_windows(name, config, block_ticks, monkeypatch):
     """From 8 samples per period on, numpy's window mean is a pairwise sum,
     not a left-to-right one; the SoA must still take the engine's mean."""
     scenario = fleet_scenario(name)
     n = min(scenario.n_servers, 8)
     specs = scenario.specs(n)
+    lengths = record_blocks(monkeypatch, block_ticks, n)
     fleets = [
         FleetSimulation(
             backend,
@@ -227,15 +258,19 @@ def test_soa_matches_reference_with_long_meter_windows(name, config):
         fleet.run(2)
     ref, soa = fleets
     assert fleet_digests(ref) == fleet_digests(soa)
+    # 8 rows step each period as one block by default.
+    assert max(lengths) == (block_ticks or config.ticks_per_period)
 
 
-def test_soa_matches_reference_across_rapl_wrap():
+@BLOCKS
+def test_soa_matches_reference_across_rapl_wrap(block_ticks, monkeypatch):
     """Counters started 100 J below the RAPL range wrap in the first
     period; the SoA counter and its window anchors must follow the scalar
     ``SimulatedRapl`` through the wrap bit for bit."""
     scenario = fleet_scenario("fair-static")
     n = 4
     specs = scenario.specs(n)
+    lengths = record_blocks(monkeypatch, block_ticks, n)
     ref_backend = ReferenceBackend([build_scalar_twin(s) for s in specs])
     soa_backend = SoaFleetBackend(specs)
     fleets = [
@@ -262,6 +297,7 @@ def test_soa_matches_reference_across_rapl_wrap():
         assert soa_backend._rapl_anchor_uj.tobytes() == ref_anchor.tobytes()
         assert (soa_backend._rapl_energy < start_uj).all()  # it wrapped
     assert fleet_digests(fleets[0]) == fleet_digests(fleets[1])
+    assert max(lengths) == (block_ticks or SimConfig().ticks_per_period)
 
 
 def test_mixed_fleet_soa_matches_reference():
@@ -456,3 +492,22 @@ def test_soa_smoke_256_servers():
     assert fleet.trace.last("total_power_w") == pytest.approx(
         float(powers.sum())
     )
+
+
+@pytest.mark.fleet_smoke
+def test_soa_smoke_1024_servers_in_window_blocks_and_one_block(monkeypatch):
+    """At 1024 servers a period steps in 10-tick blocks, one meter window
+    each; stepped as one 40-tick block instead, a round's history is the
+    same bit for bit."""
+    histories = []
+    for block_ticks, expected in ((None, 10), (40, 40)):
+        lengths = record_blocks(monkeypatch, block_ticks, 1024)
+        fleet = fleet_scenario("tree-static").build_fleet("soa", n_servers=1024)
+        fleet.run(1)
+        monkeypatch.undo()
+        assert set(lengths) == {expected}
+        backend = fleet.backend
+        hist = backend._hist[: backend._n_rows].copy()
+        hist[:, :, backend._chan_index["ctl_ms"]] = 0.0  # timing, not state
+        histories.append((hist.tobytes(), digest(fleet.trace)))
+    assert histories[0] == histories[1]
